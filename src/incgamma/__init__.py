@@ -8,7 +8,7 @@ incomplete gamma integrals by certified-tail quadrature.  Both sides
 interpolate one rational sequence, which is what the test suite pins down.
 """
 
-from .exact import INF, Rational, as_rational, binom, digit_sum, falling, vp, vp_factorial
+from .exact import INF, as_rational, binom, digit_sum, falling, vp, vp_factorial
 from .padic import (
     DivergentSeriesError,
     PadicContext,
@@ -22,19 +22,17 @@ from .padic import (
     principal_power,
     teichmuller,
 )
-from .series import TruncSeries, binomial_power, gexp, geometric_shift
+from .series import TruncSeries, binomial_power, gexp
 from .mahler import (
     ExactMahler,
     MahlerFn,
     Tail,
-    actcorr,
     convolve,
     from_gexp,
     gexp_length_for,
     gexp_tail_floor,
     one_exact,
     one_fn,
-    prodcorr,
 )
 from .measure import Measure, dirac, integrate, mu_psi_x
 from .transform import (

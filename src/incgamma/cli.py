@@ -23,7 +23,7 @@ import random
 import sys
 from fractions import Fraction
 
-from .exact import INF, as_rational, format_rational
+from .exact import INF, as_rational
 from .padic import PadicContext, PrecisionError, congruent, principal_part
 from .gamma_padic import (CompatibilityError, PlaceExcludedError, Psi,
                           functional_eq_parts, psi_tilde)
@@ -31,7 +31,24 @@ from .gamma_complex import gfn, mellin_fe_residual, psi_complex
 
 
 def _prec_default() -> int:
-    return int(os.environ.get("INCGAMMA_PREC", "28"))
+    raw = os.environ.get("INCGAMMA_PREC", "28")
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"INCGAMMA_PREC must be an integer, got {raw!r}") from None
+
+
+def _count(lowest: int):
+    """argparse type for an integer count of at least lowest."""
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if n < lowest:
+            raise argparse.ArgumentTypeError(f"must be >= {lowest}, got {n}")
+        return n
+    return parse
 
 
 def _fmt_value(x, k: int) -> str:
@@ -53,14 +70,14 @@ def _cmd_psi_tilde(args):
     r = as_rational(args.r)
     rows = []
     for m in range(args.m_max + 1):
-        rows.append({"m": m, "value": format_rational(psi_tilde(r, m)),
+        rows.append({"m": m, "value": str(psi_tilde(r, m)),
                      "precision_claim": "exact", "status": "pass"})
-    return rows, True, {"r": format_rational(r), "m_max": args.m_max}
+    return rows, True, {"r": str(r), "m_max": args.m_max}
 
 
 def _cmd_eval(args):
     r = as_rational(args.r)
-    params = {"r": format_rational(r), "s": args.s, "side": args.side}
+    params = {"r": str(r), "s": args.s, "side": args.side}
     if args.side == "padic":
         if args.p is None:
             raise ValueError("--side padic needs --p")
@@ -91,7 +108,7 @@ def _cmd_interp_check(args):
         raise ValueError("pick at least one side: --p and/or --complex")
     rows = []
     ok = True
-    params = {"r": format_rational(r), "m_max": args.m_max}
+    params = {"r": str(r), "m_max": args.m_max}
     if args.p is not None:
         ctx = PadicContext(args.p, args.prec)
         pr = principal_part(ctx.number(r))
@@ -165,8 +182,8 @@ def _emit(doc: dict, fmt: str, stream) -> None:
 def main(argv=None) -> int:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "csv"), default="json")
-    common.add_argument("--prec", type=int, default=_prec_default(),
-                        help="p-adic working precision (or INCGAMMA_PREC)")
+    common.add_argument("--prec", type=int, default=None,
+                        help="p-adic working precision (default INCGAMMA_PREC or 28)")
     common.add_argument("--tol", type=float, default=1e-8,
                         help="relative tolerance on the complex side")
 
@@ -178,7 +195,7 @@ def main(argv=None) -> int:
     p1 = sub.add_parser("psi-tilde", parents=[common],
                         help="exact rational target sequence")
     p1.add_argument("--r", required=True, help="rational, e.g. 5/3")
-    p1.add_argument("--m-max", type=int, default=10)
+    p1.add_argument("--m-max", type=_count(0), default=10)
     p1.set_defaults(handler=_cmd_psi_tilde)
 
     p2 = sub.add_parser("eval", parents=[common], help="a single value")
@@ -191,7 +208,7 @@ def main(argv=None) -> int:
     p3 = sub.add_parser("interp-check", parents=[common],
                         help="compare both places against the target sequence")
     p3.add_argument("--r", required=True)
-    p3.add_argument("--m-max", type=int, default=10)
+    p3.add_argument("--m-max", type=_count(0), default=10)
     p3.add_argument("--p", type=int)
     p3.add_argument("--complex", action="store_true")
     p3.set_defaults(handler=_cmd_interp_check)
@@ -201,13 +218,15 @@ def main(argv=None) -> int:
     p4.add_argument("--poly", required=True,
                     help="comma list g1,g2,... of coefficients of x, x^2, ...")
     p4.add_argument("--p", type=int, required=True)
-    p4.add_argument("--samples", type=int, default=5)
+    p4.add_argument("--samples", type=_count(1), default=5)
     p4.add_argument("--seed", type=int, default=0)
     p4.add_argument("--complex", action="store_true")
     p4.set_defaults(handler=_cmd_func_eq)
 
     args = ap.parse_args(argv)
     try:
+        if args.prec is None:
+            args.prec = _prec_default()
         rows, ok, params = args.handler(args)
     except (PlaceExcludedError, CompatibilityError, PrecisionError, ValueError,
             ZeroDivisionError) as exc:

@@ -13,8 +13,6 @@ from fractions import Fraction
 #: Valuation of zero.  Comparisons and min() work as expected.
 INF = math.inf
 
-Rational = Fraction
-
 
 def as_rational(q) -> Fraction:
     """Coerce an int, Fraction, or 'a/b' string to a Fraction."""
@@ -25,12 +23,6 @@ def as_rational(q) -> Fraction:
     if isinstance(q, str):
         return Fraction(q)
     raise TypeError(f"not a rational: {q!r}")
-
-
-def format_rational(q: Fraction) -> str:
-    """Render as 'a/b', or just 'a' for integers."""
-    q = as_rational(q)
-    return str(q)
 
 
 def _check_prime(p: int) -> None:

@@ -20,12 +20,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import INF, as_rational, binom, format_rational, vp
+from .exact import INF, as_rational, binom, vp
 from .padic import (PadicContext, PadicNumber, congruent, principal_part,
                     principal_power)
 from .series import TruncSeries
-from .mahler import (MahlerFn, Tail, convolve, from_gexp, gexp_length_for,
-                     gexp_tail_floor, heuristic_tail)
+from .mahler import (MahlerFn, _gexp_kernel, _rational_weights, convolve,
+                     gexp_length_for)
 from .measure import dirac, integrate
 from .transform import factorial_length_for, l_value, one_minus_x_pow
 
@@ -58,7 +58,7 @@ def require_unit(r, p: int) -> Fraction:
     v = vp(r, p)
     if v != 0:
         raise PlaceExcludedError(
-            f"v_{p}({format_rational(r)}) = {v}; the construction needs a unit")
+            f"v_{p}({r}) = {v}; the construction needs a unit")
     return r
 
 
@@ -84,38 +84,6 @@ def phi_values_exact(r, count: int) -> list:
     return vals
 
 
-def _f_r_residues(A: int, B: int, p: int, K: int, M: int) -> list:
-    """Mahler coefficients of phi_{A/B} mod p^M, all-integer recurrence.
-
-    With G_1 = 1, G_{k+1} = -G_k (B - kA) the series coefficients are
-    c_k = G_k / (A^{k-1} k!), and the scaled EGF coefficients
-    D_n = A^n d_n of exp(f_r - t) satisfy
-        D_n = A sum_{k=2}^n G_k binom(n-1, k-1) D_{n-k}.
-    Only the unit A is ever inverted, so reducing mod p^M is exact.
-    """
-    mod = p ** M
-    Ainv = pow(A % mod, -1, mod)
-    G = [0, 1 % mod]
-    for k in range(1, K):
-        G.append(-G[k] * (B - k * A) % mod)
-    row = [0] * (K + 2)  # row[k] = binom(n-1, k-1), updated in place
-    row[1] = 1 % mod
-    D = [1 % mod, 0]
-    out = [1 % mod, 0]
-    ainv_pow = Ainv
-    for n in range(2, K + 1):
-        for k in range(min(n, K + 1), 0, -1):
-            row[k] = (row[k] + row[k - 1]) % mod
-        acc = 0
-        for k in range(2, n + 1):
-            if G[k] and D[n - k]:
-                acc += G[k] * row[k] * D[n - k]
-        D.append(A * acc % mod)
-        ainv_pow = ainv_pow * Ainv % mod
-        out.append(D[n] * ainv_pow % mod)
-    return out[:K + 1]
-
-
 _phi_cache: dict = {}
 _value_cache: dict = {}
 
@@ -124,8 +92,12 @@ def phi_fr(r, ctx: PadicContext, length: int | None = None,
            tail_target: int | None = None) -> MahlerFn:
     """The weight phi_r as a p-adic expansion with a certified tail.
 
-    Default sizing picks the shortest length whose gexp certificate reaches
-    the context precision; results are cached per (r, p, length, precision).
+    For r = A/B the series coefficients of f_r are c_k = G_k / (A^(k-1) k!)
+    with G_1 = 1, G_(k+1) = -G_k (B - kA), so the gexp kernel weights of
+    f_r - t are w_1 = 0 and w_k = G_k A^-(k-1), with only the unit A ever
+    inverted.  Default sizing picks the shortest length whose gexp
+    certificate reaches the context precision; results are cached per
+    (r, p, length, precision).
     """
     r = require_unit(r, ctx.p)
     want = ctx.precision if tail_target is None else tail_target
@@ -135,15 +107,16 @@ def phi_fr(r, ctx: PadicContext, length: int | None = None,
     hit = _phi_cache.get(key)
     if hit is not None:
         return hit
-    M = ctx.precision
-    res = _f_r_residues(r.numerator, r.denominator, ctx.p, length, M)
-    coeffs = [PadicNumber._make(ctx, 0, c, M) for c in res]
-    cert = Tail(gexp_tail_floor(ctx.p, length), True, "gexp certificate")
-    if cert.exponent < want:
-        window = heuristic_tail(ctx, coeffs)
-        if window.exponent > cert.exponent:
-            cert = window
-    fn = MahlerFn(ctx, coeffs, cert)
+    A, B = r.numerator, r.denominator
+    mod = ctx.p ** ctx.precision
+    Ainv = pow(A, -1, mod)
+    weights = [0]
+    G, scale = 1, 1  # G_k mod p^M and A^-(k-1) mod p^M
+    for k in range(1, length):
+        G = -G * (B - k * A) % mod
+        scale = scale * Ainv % mod
+        weights.append(G * scale % mod)
+    fn = _gexp_kernel(ctx, weights, length, want)
     _phi_cache[key] = fn
     return fn
 
@@ -152,11 +125,8 @@ def poly_gexp(coeffs, ctx: PadicContext, length: int | None = None,
               tail_target: int | None = None) -> MahlerFn:
     """Mahler expansion of exp(f) for a polynomial f = sum_{k>=1} g_k x^k.
 
-    Same contract as from_gexp, but with denominators cleared up front:
-    writing Q for their lcm and H_k = (g_k - [k=1]) Q, the scaled EGF
-    coefficients D_n = Q^n d_n of exp(f - t) obey the integer recurrence
-        D_n = sum_k k H_k Q^{k-1} (n-1)_{k-1} D_{n-k},
-    so the whole computation runs mod p^M with only unit divisions.
+    Same contract as from_gexp with f(0) = 0; the gexp kernel runs on the
+    weights k! (g_k - [k = 1]) reduced mod p^M.
     """
     p = ctx.p
     g = [as_rational(c) for c in coeffs]
@@ -170,33 +140,8 @@ def poly_gexp(coeffs, ctx: PadicContext, length: int | None = None,
     want = ctx.precision if tail_target is None else tail_target
     if length is None:
         length = gexp_length_for(p, want)
-    h = [g[0] - 1] + g[1:]
-    Q = math.lcm(*(c.denominator for c in h))
-    H = [int(c * Q) for c in h]
-    deg = len(H)
-    M = ctx.precision
-    mod = p ** M
-    Qinv = pow(Q % mod, -1, mod)
-    Qpow = [pow(Q, k, mod) for k in range(deg)]
-    D = [1 % mod]
-    out = [PadicNumber._make(ctx, 0, 1 % mod, M)]
-    qinv_pow = 1
-    for n in range(1, length + 1):
-        acc = 0
-        fall = 1  # (n-1)_{k-1}
-        for k in range(1, min(n, deg) + 1):
-            if H[k - 1] and D[n - k]:
-                acc += k * H[k - 1] * Qpow[k - 1] * fall * D[n - k]
-            fall = fall * (n - k) % mod
-        D.append(acc % mod)
-        qinv_pow = qinv_pow * Qinv % mod
-        out.append(PadicNumber._make(ctx, 0, D[n] * qinv_pow % mod, M))
-    cert = Tail(gexp_tail_floor(p, length), True, "gexp certificate")
-    if cert.exponent < want:
-        window = heuristic_tail(ctx, out)
-        if window.exponent > cert.exponent:
-            cert = window
-    return MahlerFn(ctx, out, cert)
+    weights = _rational_weights([g[0] - 1] + g[1:], p ** ctx.precision)
+    return _gexp_kernel(ctx, weights, length, want)
 
 
 def psi_tilde(r, m: int) -> Fraction:
@@ -283,7 +228,7 @@ class GammaValue:
     value: PadicNumber
 
     def __repr__(self):
-        return f"E({format_rational(self.exp_arg)}) * ({self.value!r})"
+        return f"E({self.exp_arg}) * ({self.value!r})"
 
 
 def gamma_p(r, s, ctx: PadicContext, target: int | None = None,

@@ -7,17 +7,19 @@ counterpart used wherever exactness matters (oracles, the correspondence
 checks, small building blocks); it reduces into a MahlerFn with an exact
 tail.
 
-The exponential-generating-function correspondences live here as well:
+The exponential-generating-function correspondences of ExactMahler:
 prodcorr(phi) = sum (nabla^n phi)(0) t^n/n!   (algebra map for convolution)
 actcorr(phi)  = sum phi(n) t^n/n! = exp(t) * prodcorr(phi)
 from_gexp inverts actcorr on grouplike exponentials: for f with p-integral
-coefficients, f(0) in the exp disc and f'(0) a principal unit, the Mahler
-coefficients of the preimage are exp(f(0)) * d_n where
-exp(f - f(0) - t) = sum d_n t^n/n!.
+rational coefficients, f(0) in the exp disc and f'(0) a principal unit, the
+Mahler coefficients of the preimage are exp(f(0)) * d_n where
+exp(f - f(0) - t) = sum d_n t^n/n!.  One integer recurrence mod p^M
+computes the d_n for every such weight (from_gexp here, phi_fr and
+poly_gexp in gamma_padic).
 
-Tail certificate for from_gexp: writing g = f - f(0) - t, a composition of n
-into j parts all >= 1 with j_1 parts equal to 1 forces j <= (n + j_1)/2, and
-each size-1 part contributes v_p >= v_p(g_1) >= 1, so
+Tail certificate for the gexp coefficients: writing g = f - f(0) - t, a
+composition of n into j parts all >= 1 with j_1 parts equal to 1 forces
+j <= (n + j_1)/2, and each size-1 part contributes v_p >= v_p(g_1) >= 1, so
     v_p(d_n) >= v_p(n!) - v_p(floor(n/2)!) >= n/(2(p-1)) - log_p(n) - 1,
 an increasing bound; gexp_tail_floor freezes its value at K+1.
 """
@@ -27,10 +29,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .exact import INF, as_rational, digit_count, vp
 from .padic import PadicContext, PadicNumber, p_exp
-from .series import TruncSeries, gexp as series_gexp
+from .series import TruncSeries
 
 
 @dataclass(frozen=True)
@@ -120,8 +123,6 @@ class ExactMahler:
 
     @staticmethod
     def from_prodcorr(s: TruncSeries) -> "ExactMahler":
-        if s.is_padic:
-            raise TypeError("exact lane only")
         return ExactMahler([s.coeff(n) * math.factorial(n) for n in range(s.order + 1)])
 
     def to_padic(self, ctx: PadicContext, abs_prec: int | None = None) -> "MahlerFn":
@@ -328,19 +329,6 @@ class MahlerFn:
         certified = self.tail.certified and other.tail.certified
         return MahlerFn(self.ctx, coeffs, Tail(texp, certified, "sum"))
 
-    def sub(self, other: "MahlerFn") -> "MahlerFn":
-        return self.add(other.scale(-1))
-
-    def prodcorr(self, order: int) -> TruncSeries:
-        coeffs = [self.coeff(n) * Fraction(1, math.factorial(n))
-                  for n in range(order + 1)]
-        return TruncSeries(coeffs, ctx=self.ctx)
-
-    def actcorr(self, order: int) -> TruncSeries:
-        coeffs = [self.eval(n) * Fraction(1, math.factorial(n))
-                  for n in range(order + 1)]
-        return TruncSeries(coeffs, ctx=self.ctx)
-
     def __repr__(self):
         t = "inf" if self.tail.exponent == INF else str(self.tail.exponent)
         kind = "certified" if self.tail.certified else "heuristic"
@@ -432,14 +420,6 @@ def _convolve_objects(a: MahlerFn, b: MahlerFn, K_out: int) -> list:
     return out
 
 
-def prodcorr(phi, order: int) -> TruncSeries:
-    return phi.prodcorr(order)
-
-
-def actcorr(phi, order: int) -> TruncSeries:
-    return phi.actcorr(order)
-
-
 def heuristic_tail(ctx: PadicContext, coeffs, guard: int = 5) -> Tail:
     """Window evidence: minimum valuation over the last 3p stored
     coefficients, recorded as a heuristic tail."""
@@ -454,58 +434,32 @@ def heuristic_tail(ctx: PadicContext, coeffs, guard: int = 5) -> Tail:
     return Tail(e, False, f"window W={len(window)}, guard={guard}")
 
 
-def from_gexp(f: TruncSeries, ctx: PadicContext | None = None,
-              length: int | None = None,
+def from_gexp(f: TruncSeries, ctx: PadicContext, length: int | None = None,
               tail_target: int | None = None) -> MahlerFn:
-    """The continuous phi with actcorr(phi) = gexp(f).
+    """The continuous phi with actcorr(phi) = gexp(f), for a rational series f.
 
     Requires p-integral coefficients, f(0) inside the exp disc, and f'(0) a
-    principal unit.  Exact input: the EGF coefficients d_n of
-    exp(f - f(0) - t) are computed exactly in Q and reduced afterwards.
-    The tail is the certified gexp bound whenever it reaches tail_target
-    (default: the context precision); otherwise the stronger of the
-    certificate and the observed heuristic window.  p-adic input falls back
-    to zealous series arithmetic and the heuristic window alone.
+    principal unit.  The EGF coefficients of exp(f - f(0) - t) come from the
+    gexp kernel mod p^M (M = ctx.precision), scaled by p_exp(f(0)) when
+    f(0) != 0, and every coefficient claims O(p^M).  The tail is the
+    certified gexp bound whenever it reaches tail_target (default: the
+    context precision); otherwise the stronger of the certificate and the
+    observed heuristic window.
     """
-    if ctx is None:
-        if not f.is_padic:
-            raise ValueError("need a context for exact input")
-        ctx = f.ctx
     p = ctx.p
-    K = f.order if length is None else min(length, f.order)
-
     if f.order < 1:
         raise ValueError("need at least the linear coefficient of f")
-
-    if not f.is_padic:
-        for n, c in enumerate(f.coeffs):
-            if vp(c, p) < 0:
-                raise ValueError(f"coefficient {n} is not p-integral: {c}")
-        f0 = f.coeff(0)
-        _check_gexp_domain(f0, f.coeff(1), p)
-        # exact EGF coefficients of exp(g), g = f - f0 - t
-        g = [Fraction(0), f.coeff(1) - 1] + list(f.coeffs[2:])
-        d = _egf_exact(g, K)
-        head = p_exp(ctx.number(f0)) if f0 != 0 else None
-        coeffs = []
-        for n in range(K + 1):
-            c = ctx.number(d[n])
-            coeffs.append(c if head is None else c * head)
-        cert = Tail(gexp_tail_floor(p, K), True, "gexp certificate")
-        want = ctx.precision if tail_target is None else tail_target
-        if cert.exponent < want:
-            window = heuristic_tail(ctx, coeffs)
-            if window.exponent > cert.exponent:
-                cert = window
-        return MahlerFn(ctx, coeffs, cert)
-
+    K = f.order if length is None else min(length, f.order)
+    for n, c in enumerate(f.coeffs):
+        if vp(c, p) < 0:
+            raise ValueError(f"coefficient {n} is not p-integral: {c}")
     f0 = f.coeff(0)
-    one = ctx.number(1)
-    g = TruncSeries([ctx.zero(), f.coeff(1) - one] + list(f.coeffs[2:]), ctx=ctx)
-    e = series_gexp(g)
-    head = p_exp(f0) if not f0.is_exact_zero() else one
-    coeffs = [e.coeff(n) * head * math.factorial(n) for n in range(K + 1)]
-    return MahlerFn(ctx, coeffs, heuristic_tail(ctx, coeffs))
+    _check_gexp_domain(f0, f.coeff(1), p)
+    M = ctx.precision
+    g = [f.coeff(1) - 1] + list(f.coeffs[2:K + 1])
+    head = p_exp(ctx.number(f0)).residue(M) if f0 != 0 else 1
+    want = M if tail_target is None else tail_target
+    return _gexp_kernel(ctx, _rational_weights(g, p ** M), K, want, head)
 
 
 def _check_gexp_domain(f0, f1: Fraction, p: int) -> None:
@@ -517,17 +471,49 @@ def _check_gexp_domain(f0, f1: Fraction, p: int) -> None:
         raise ValueError("f'(0) must be a principal unit")
 
 
-def _egf_exact(g: list, K: int) -> list:
-    """d_n with exp(sum g_k t^k) = sum d_n t^n / n!, exact in Q.
+def _rational_weights(g: list, mod: int) -> list:
+    """The kernel weights k! g_k mod p^M of p-integral rationals g_1, g_2, ..."""
+    out = []
+    fact = 1
+    for k, c in enumerate(g, start=1):
+        fact *= k
+        w = fact * c
+        out.append(w.numerator * pow(w.denominator, -1, mod) % mod)
+    return out
 
-    d_n = sum_k k! binom(n-1, k-1) g_k d_{n-k} (from the exp ODE).
+
+def _gexp_kernel(ctx: PadicContext, weights: list, length: int, want: int,
+                 head: int = 1) -> MahlerFn:
+    """Mahler coefficients of the gexp preimage, all mod p^M (M = ctx.precision).
+
+    weights[k-1] = w_k = k! g_k mod p^M, where g = f - f(0) - t.  The EGF
+    coefficients d_n of exp(g) obey the exp ODE in the form
+        d_n = sum_{k=1}^{min(n, deg)} w_k binom(n-1, k-1) d_{n-k},
+    which never divides, so the recurrence runs on plain residues; trailing
+    zero weights are dropped first so deg only counts the live ones.  The
+    stored coefficients are head * d_n for n <= length, each claiming
+    O(p^M); head is the residue of exp(f(0)).  The tail is the gexp
+    certificate, or the heuristic window when that is stronger and the
+    certificate falls short of want, the tail exponent asked for.
     """
-    d = [Fraction(1)]
-    deg = len(g) - 1
-    for n in range(1, K + 1):
-        acc = Fraction(0)
-        for k in range(1, min(n, deg) + 1):
-            if g[k]:
-                acc += math.factorial(k) * math.comb(n - 1, k - 1) * g[k] * d[n - k]
-        d.append(acc)
-    return d
+    p, M = ctx.p, ctx.precision
+    mod = p ** M
+    w = [0] + list(weights[:length])
+    while len(w) > 1 and w[-1] == 0:
+        w.pop()
+    deg = len(w) - 1
+    row = [0, 1] + [0] * (deg - 1)  # row[k] = binom(n-1, k-1) mod p^M
+    d = [1]
+    for n in range(1, length + 1):
+        top = min(n, deg)
+        row[2:top + 1] = [(a + b) % mod for a, b in zip(row[2:top + 1], row[1:top])]
+        # sum over k = 1..top of w_k row_k d_(n-k)
+        terms = map(mul, map(mul, w[1:top + 1], row[1:top + 1]), reversed(d[n - top:n]))
+        d.append(sum(terms) % mod)
+    coeffs = [PadicNumber._make(ctx, 0, c * head % mod, M) for c in d]
+    tail = Tail(gexp_tail_floor(p, length), True, "gexp certificate")
+    if tail.exponent < want:
+        window = heuristic_tail(ctx, coeffs)
+        if window.exponent > tail.exponent:
+            tail = window
+    return MahlerFn(ctx, coeffs, tail)

@@ -1,30 +1,27 @@
-"""Truncated power series over Q or over Q_p.
+"""Truncated power series over Q.
 
-A TruncSeries holds ordinary coefficients c_0..c_order of a series known
-modulo t^(order+1).  Coefficients are either all Fractions (exact kind) or
-all PadicNumbers (zealous kind); the exact kind is the default workhorse and
-feeds the p-adic pipeline by reduction as late as possible.
+A TruncSeries holds rational coefficients c_0..c_order of a series known
+modulo t^(order+1).  The p-adic pipeline reduces these exact coefficients
+as late as possible (mahler.from_gexp).
 
 binomial_power implements a^y = sum binom(y,k) (a-1)^k for series with
 constant term 1; the reciprocal of a is binomial_power(a, -1).  gexp is the
-grouplike exponential exp(f(0)) * exp(f - f(0)).
+exponential of a series with f(0) = 0.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from .exact import as_rational, binom as exact_binom
-from .padic import PadicContext, PadicNumber, p_exp
 
 
 class TruncSeries:
     """Series known modulo t^(order+1)."""
 
-    __slots__ = ("coeffs", "ctx")
+    __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs, order: int | None = None, ctx: PadicContext | None = None):
+    def __init__(self, coeffs, order: int | None = None):
         coeffs = list(coeffs)
         if order is not None:
             if order < 0:
@@ -34,26 +31,11 @@ class TruncSeries:
                 coeffs.append(0)
         if not coeffs:
             raise ValueError("need at least the constant coefficient")
-        for c in coeffs:
-            if isinstance(c, PadicNumber):
-                if ctx is None:
-                    ctx = c.ctx
-                elif ctx.p != c.ctx.p:
-                    raise ValueError("mixed primes in coefficients")
-        if ctx is None:
-            self.coeffs = [as_rational(c) for c in coeffs]
-        else:
-            self.coeffs = [c if isinstance(c, PadicNumber) else ctx.number(as_rational(c))
-                           for c in coeffs]
-        self.ctx = ctx
+        self.coeffs = [as_rational(c) for c in coeffs]
 
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
-
-    @property
-    def is_padic(self) -> bool:
-        return self.ctx is not None
 
     def coeff(self, n: int):
         if n < 0:
@@ -68,65 +50,49 @@ class TruncSeries:
     def truncate(self, order: int) -> "TruncSeries":
         if order > self.order:
             raise ValueError("cannot extend a truncated series")
-        return TruncSeries(self.coeffs[:order + 1], ctx=self.ctx)
-
-    def to_padic(self, ctx: PadicContext) -> "TruncSeries":
-        if self.is_padic:
-            if self.ctx.p != ctx.p:
-                raise ValueError("mixed primes")
-            return self
-        return TruncSeries([ctx.number(c) for c in self.coeffs], ctx=ctx)
+        return TruncSeries(self.coeffs[:order + 1])
 
     # -- arithmetic --------------------------------------------------------
 
     def _pair(self, other):
         if not isinstance(other, TruncSeries):
             raise TypeError("expected a TruncSeries")
-        a, b = self, other
-        if a.is_padic and not b.is_padic:
-            b = b.to_padic(a.ctx)
-        elif b.is_padic and not a.is_padic:
-            a = a.to_padic(b.ctx)
-        order = min(a.order, b.order)
-        return a, b, order
+        return min(self.order, other.order)
 
     def __add__(self, other):
-        a, b, order = self._pair(other)
-        return TruncSeries([a.coeffs[n] + b.coeffs[n] for n in range(order + 1)],
-                           ctx=a.ctx or b.ctx)
+        order = self._pair(other)
+        return TruncSeries([self.coeffs[n] + other.coeffs[n] for n in range(order + 1)])
 
     def __sub__(self, other):
-        a, b, order = self._pair(other)
-        return TruncSeries([a.coeffs[n] - b.coeffs[n] for n in range(order + 1)],
-                           ctx=a.ctx or b.ctx)
+        order = self._pair(other)
+        return TruncSeries([self.coeffs[n] - other.coeffs[n] for n in range(order + 1)])
 
     def __neg__(self):
-        return TruncSeries([-c for c in self.coeffs], ctx=self.ctx)
+        return TruncSeries([-c for c in self.coeffs])
 
     def __mul__(self, other):
         if isinstance(other, TruncSeries):
-            a, b, order = self._pair(other)
+            order = self._pair(other)
+            a, b = self.coeffs, other.coeffs
             out = []
             for n in range(order + 1):
-                acc = a.coeffs[0] * b.coeffs[n]
+                acc = a[0] * b[n]
                 for k in range(1, n + 1):
-                    acc = acc + a.coeffs[k] * b.coeffs[n - k]
+                    acc = acc + a[k] * b[n - k]
                 out.append(acc)
-            return TruncSeries(out, ctx=a.ctx or b.ctx)
+            return TruncSeries(out)
         return self.scale(other)
 
     __rmul__ = __mul__
 
     def scale(self, c) -> "TruncSeries":
-        if not isinstance(c, PadicNumber):
-            c = as_rational(c)
-        return TruncSeries([a * c for a in self.coeffs], ctx=self.ctx)
+        c = as_rational(c)
+        return TruncSeries([a * c for a in self.coeffs])
 
     def derivative(self) -> "TruncSeries":
         if self.order == 0:
             raise ValueError("derivative of an order-0 truncation is unknown")
-        return TruncSeries([(n + 1) * self.coeffs[n + 1] for n in range(self.order)],
-                           ctx=self.ctx)
+        return TruncSeries([(n + 1) * self.coeffs[n + 1] for n in range(self.order)])
 
     def __eq__(self, other):
         if not isinstance(other, TruncSeries):
@@ -134,67 +100,40 @@ class TruncSeries:
         return self.order == other.order and self.coeffs == other.coeffs
 
     def __repr__(self):
-        kind = f"Q_{self.ctx.p}" if self.is_padic else "Q"
         head = ", ".join(str(c) for c in self.coeffs[:5])
         tail = ", ..." if self.order > 4 else ""
-        return f"TruncSeries[{kind}]({head}{tail}; order={self.order})"
+        return f"TruncSeries[Q]({head}{tail}; order={self.order})"
 
 
-def geometric_shift(order: int, ctx: PadicContext | None = None) -> TruncSeries:
-    """The series t (handy building block)."""
-    return TruncSeries([0, 1], order=order, ctx=ctx)
-
-
-def one(order: int, ctx: PadicContext | None = None) -> TruncSeries:
-    return TruncSeries([1], order=order, ctx=ctx)
+def one(order: int) -> TruncSeries:
+    return TruncSeries([1], order=order)
 
 
 def binomial_power(a: TruncSeries, y) -> TruncSeries:
     """a^y = sum_k binom(y, k) (a - 1)^k for a series with constant term 1.
 
-    y may be an int, a Fraction, or a PadicNumber; for y = -1 this is the
-    reciprocal of a.
+    y may be an int or a Fraction; for y = -1 this is the reciprocal of a.
     """
-    c0 = a.constant()
-    is_one = (c0 == 1) if not isinstance(c0, PadicNumber) else \
-        (c0 - 1).is_exact_zero() or ((c0 - 1).unit == 0)
-    if not is_one:
+    if a.constant() != 1:
         raise ValueError("binomial_power needs constant term 1")
     order = a.order
-    u = a - one(order, a.ctx)
-    out = one(order, a.ctx)
+    y = as_rational(y)
+    u = a - one(order)
+    out = one(order)
     pw = u
-    if isinstance(y, PadicNumber):
-        fall = None
-        for k in range(1, order + 1):
-            fall = y if fall is None else fall * (y - (k - 1))
-            out = out + pw.scale(fall * Fraction(1, math.factorial(k)))
-            if k < order:
-                pw = pw * u
-    else:
-        y = as_rational(y)
-        for k in range(1, order + 1):
-            c = exact_binom(y, k)
-            if c != 0:
-                out = out + pw.scale(c)
-            if k < order:
-                pw = pw * u
+    for k in range(1, order + 1):
+        c = exact_binom(y, k)
+        if c != 0:
+            out = out + pw.scale(c)
+        if k < order:
+            pw = pw * u
     return out
 
 
 def _exp_ode(h: TruncSeries) -> TruncSeries:
     """exp of a series with zero constant term, by n e_n = sum k h_k e_{n-k}."""
-    order = h.order
-    if h.is_padic:
-        e = [h.ctx.number(1)]
-        for n in range(1, order + 1):
-            acc = h.coeffs[1] * e[n - 1] if n >= 1 else None
-            for k in range(2, n + 1):
-                acc = acc + k * h.coeffs[k] * e[n - k]
-            e.append(acc / n)
-        return TruncSeries(e, ctx=h.ctx)
     e = [Fraction(1)]
-    for n in range(1, order + 1):
+    for n in range(1, h.order + 1):
         acc = Fraction(0)
         for k in range(1, n + 1):
             acc += k * h.coeffs[k] * e[n - k]
@@ -203,17 +142,11 @@ def _exp_ode(h: TruncSeries) -> TruncSeries:
 
 
 def gexp(f: TruncSeries) -> TruncSeries:
-    """Grouplike exponential exp(f(0)) * exp(f - f(0)).
+    """Grouplike exponential exp(f) of a series with f(0) = 0.
 
-    Exact kind: requires f(0) = 0 (exp of a nonzero rational is not
-    rational); p-adic kind: f(0) must lie in the exp convergence disc.
+    exp of a nonzero rational is not rational; mahler.from_gexp takes the
+    p-adic exp of f(0) instead.
     """
-    c0 = f.constant()
-    if not f.is_padic:
-        if c0 != 0:
-            raise ValueError("exact gexp needs f(0) = 0; use a p-adic series")
-        h = TruncSeries([0] + list(f.coeffs[1:]), ctx=None)
-        return _exp_ode(h)
-    head = p_exp(c0) if not c0.is_exact_zero() else f.ctx.number(1)
-    h = TruncSeries([f.ctx.number(0)] + list(f.coeffs[1:]), ctx=f.ctx)
-    return _exp_ode(h).scale(head)
+    if f.constant() != 0:
+        raise ValueError("exact gexp needs f(0) = 0; use mahler.from_gexp")
+    return _exp_ode(f)

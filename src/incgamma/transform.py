@@ -84,31 +84,6 @@ def s_transform(phi: MahlerFn, y, length: int | None = None) -> MahlerFn:
     return convolve(g, phi)
 
 
-def _binomial_walk(ctx: PadicContext, x, K: int) -> list:
-    """[binom(x, k) for k <= K] as p-adic numbers, exact where possible."""
-    if isinstance(x, PadicNumber):
-        if not x.is_exact_zero() and x.valuation < 0:
-            raise ValueError("point must lie in Z_p")
-        M = x.abs_precision if x.abs_precision != INF else ctx.precision
-        X = 0 if x.is_exact_zero() else x.residue(M)
-        mod = ctx.p ** M
-        out = []
-        b = 1
-        for k in range(K + 1):
-            out.append(PadicNumber._make(ctx, 0, b % mod, M))
-            b = b * (X - k) // (k + 1)
-        return out
-    x = as_rational(x)
-    if vp(x, ctx.p) < 0:
-        raise ValueError("point must lie in Z_p")
-    out = []
-    b = Fraction(1)
-    for k in range(K + 1):
-        out.append(ctx.number(b))
-        b = b * (x - k) / (k + 1)
-    return out
-
-
 def two_var(phi: MahlerFn, x, y, target: int | None = None) -> PadicNumber:
     """Direct value sum_k (-1)^k (y)_k binom(x, k) phi(x - k).
 
@@ -122,7 +97,7 @@ def two_var(phi: MahlerFn, x, y, target: int | None = None) -> PadicNumber:
     yy = y if isinstance(y, PadicNumber) else ctx.number(as_rational(y))
     if not yy.is_exact_zero() and yy.valuation < 0:
         raise ValueError("exponent must lie in Z_p")
-    binoms = _binomial_walk(ctx, x, K)
+    binoms = dirac(x, ctx, K).coeffs
     acc = ctx.zero()
     fall = ctx.one()  # (-1)^k (y)_k
     for k in range(K + 1):
@@ -144,7 +119,7 @@ def l_x(phi: MahlerFn, x, length: int | None = None) -> MahlerFn:
     ctx = phi.ctx
     if length is None:
         length = factorial_length_for(ctx.p, ctx.precision)
-    binoms = _binomial_walk(ctx, x, length)
+    binoms = dirac(x, ctx, length).coeffs
     coeffs = []
     t = 1  # (-1)^k k!
     for k in range(length + 1):

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from incgamma.cli import main
 
 
@@ -137,3 +139,26 @@ def test_prec_env_default(capsys, monkeypatch):
                          "--s", "2", "--p", "3")
     assert code == 0
     assert doc["rows"][0]["precision_claim"] == "mod 3^10"
+
+
+def test_prec_env_not_an_integer(capsys, monkeypatch):
+    monkeypatch.setenv("INCGAMMA_PREC", "abc")
+    code, out, err = run(capsys, "psi-tilde", "--r", "2")
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == ["error: INCGAMMA_PREC must be an integer, got 'abc'"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("psi-tilde", "--r", "2", "--m-max", "-1"),
+    ("interp-check", "--r", "2", "--p", "3", "--m-max", "-1"),
+    ("func-eq", "--poly", "1", "--p", "5", "--samples", "-3"),
+    ("func-eq", "--poly", "1", "--p", "5", "--samples", "0"),
+])
+def test_negative_counts_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "error: argument --" in captured.err

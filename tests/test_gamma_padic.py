@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -11,8 +12,8 @@ from incgamma.gamma_padic import (CompatibilityError, GammaValue,
                                   poly_gexp, psi_tilde, psi_tilde_closed,
                                   require_unit)
 from incgamma.mahler import from_gexp
-from incgamma.padic import PadicContext, congruent, principal_part
-from incgamma.series import TruncSeries, binomial_power
+from incgamma.padic import PadicContext, congruent, p_exp, principal_part
+from incgamma.series import TruncSeries, binomial_power, gexp
 from incgamma.transform import s_transform
 
 
@@ -39,13 +40,30 @@ def test_phi_values_exact_frozen():
     assert vals[2] == Fraction(3, 2)
 
 
+def assert_matches_exact_gexp(fn, f, ctx):
+    """fn's coefficients are p_exp(f(0)) n! [t^n] exp(f - f(0) - t) mod p^M,
+    with the EGF computed in exact Q, and none claims more than M digits."""
+    M = ctx.precision
+    mod = ctx.p ** M
+    g = TruncSeries([0, f.coeff(1) - 1] + f.coeffs[2:])
+    e = gexp(g)
+    head = p_exp(ctx.number(f.coeff(0))).residue(M) if f.coeff(0) else 1
+    assert fn.length == f.order
+    for n, c in enumerate(fn.coeffs):
+        d = math.factorial(n) * e.coeff(n)
+        want = d.numerator * pow(d.denominator, -1, mod) * head % mod
+        assert c.abs_precision <= M
+        assert c.residue(M) == want
+
+
 def test_phi_fr_matches_from_gexp():
-    for r, p in ((Fraction(2), 3), (Fraction(5, 3), 7)):
-        ctx = PadicContext(p, 16)
-        a = phi_fr(r, ctx, length=24, tail_target=4)
-        b = from_gexp(f_r_series(r, 24), ctx, tail_target=4)
-        for n in range(25):
-            assert congruent(a.coeff(n), b.coeff(n), 14)
+    cases = ((Fraction(2), 3), (Fraction(5, 3), 7), (Fraction(-2), 5),
+             (Fraction(3), 2), (Fraction(1), 5), (Fraction(-1), 3))
+    for r, p in cases:
+        ctx = PadicContext(p, 12)
+        f = f_r_series(r, 30)
+        assert_matches_exact_gexp(phi_fr(r, ctx, length=30, tail_target=4), f, ctx)
+        assert_matches_exact_gexp(from_gexp(f, ctx, tail_target=4), f, ctx)
 
 
 def test_phi_fr_matches_shift_recurrence_values():
@@ -194,8 +212,17 @@ def test_poly_gexp_matches_from_gexp():
     f = TruncSeries([Fraction(0)] + [Fraction(c) for c in coeffs] +
                     [Fraction(0)] * 27)
     b = from_gexp(f, ctx, tail_target=6)
-    for n in range(31):
-        assert congruent(a.coeff(n), b.coeff(n), 16)
+    assert_matches_exact_gexp(a, f, ctx)
+    assert_matches_exact_gexp(b, f, ctx)
+
+
+def test_from_gexp_constant_term_matches_exact_gexp():
+    # f(0) = 3 at p = 3: the coefficients carry the head p_exp(3)
+    ctx = PadicContext(3, 14)
+    f = TruncSeries([3, 4, Fraction(1, 2), Fraction(-2, 5)], order=30)
+    phi = from_gexp(f, ctx)
+    assert_matches_exact_gexp(phi, f, ctx)
+    assert not congruent(phi.coeff(0), ctx.one(), 2)
 
 
 def test_poly_gexp_compatibility_errors():

@@ -259,16 +259,6 @@ def test_from_gexp_domain_checks():
         from_gexp(TruncSeries([0, 1, Fraction(1, 5)]), ctx)  # not p-integral
 
 
-def test_from_gexp_padic_input_matches_exact_path():
-    ctx = PadicContext(5, 14)
-    f = TruncSeries([0, 6, Fraction(5, 2)], order=18)
-    exact_phi = from_gexp(f, ctx)
-    padic_phi = from_gexp(f.to_padic(ctx), ctx)
-    assert not padic_phi.tail.certified
-    for n in range(12):
-        assert congruent(padic_phi.coeff(n), exact_phi.coeff(n), 10)
-
-
 def test_gexp_length_for_reaches_target():
     for p in (2, 3, 5, 7):
         for target in (5, 12, 30):

@@ -3,7 +3,6 @@ from fractions import Fraction
 
 import pytest
 
-from incgamma.padic import PadicContext, congruent, p_exp
 from incgamma.series import TruncSeries, binomial_power, gexp, one
 
 
@@ -104,37 +103,6 @@ def test_gexp_derivative_rule():
         f.coeffs[0] = Fraction(0)
         e = gexp(f)
         assert e.derivative() == (f.derivative() * e).truncate(8)
-
-
-def test_gexp_padic_matches_exact_reduction():
-    ctx = PadicContext(5, 16)
-    rng = random.Random(9)
-    for _ in range(10):
-        f = rand_series(rng, 8, denoms=(1, 2, 3))
-        f.coeffs[0] = Fraction(0)
-        exact = gexp(f)
-        padic = gexp(f.to_padic(ctx))
-        for n in range(9):
-            assert congruent(padic.coeff(n), ctx.number(exact.coeff(n)), 12)
-
-
-def test_gexp_padic_constant_term():
-    ctx = PadicContext(3, 10)
-    f = TruncSeries([3, 1, 0], ctx=ctx)
-    g = gexp(f)
-    head = p_exp(ctx.number(3))
-    plain = gexp(TruncSeries([0, 1, 0]))
-    for n in range(3):
-        assert congruent(g.coeff(n), head * ctx.number(plain.coeff(n)), 9)
-
-
-def test_padic_rational_mixed_ops():
-    ctx = PadicContext(7, 12)
-    a = TruncSeries(F(1, 2, 3)).to_padic(ctx)
-    b = TruncSeries(F(0, 1, -1))
-    s = a * b
-    assert s.is_padic
-    assert congruent(s.coeff(2), ctx.number(1), 10)
 
 
 def test_one_helper():
