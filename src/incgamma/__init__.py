@@ -40,6 +40,7 @@ from .transform import (
     factorial_length_for,
     l_transform,
     l_value,
+    l_values,
     l_x,
     one_minus_x_pow,
     parts_check,

@@ -21,7 +21,6 @@ import json
 import os
 import random
 import sys
-from fractions import Fraction
 
 from .exact import INF, as_rational
 from .padic import PadicContext, PrecisionError, congruent, principal_part

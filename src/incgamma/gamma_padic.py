@@ -17,6 +17,7 @@ Everything here needs r to be a p-adic unit; other places are excluded.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -27,7 +28,7 @@ from .series import TruncSeries
 from .mahler import (MahlerFn, _gexp_kernel, _rational_weights, convolve,
                      gexp_length_for)
 from .measure import dirac, integrate
-from .transform import factorial_length_for, l_value, one_minus_x_pow
+from .transform import factorial_length_for, l_value, l_values, one_minus_x_pow
 
 
 class PlaceExcludedError(ValueError):
@@ -84,8 +85,28 @@ def phi_values_exact(r, count: int) -> list:
     return vals
 
 
-_phi_cache: dict = {}
-_value_cache: dict = {}
+# Least-recently-used caches of at most _CACHE_SIZE entries each.
+# _phi_cache maps (r, p, length, precision, tail target) to a MahlerFn that
+# phi_fr copies before handing out.  _value_cache maps (r, p, precision),
+# which fix phi_fr's default length, to the immutable LValues record of
+# that expansion, so a warm Phi never builds phi_r at all.
+_CACHE_SIZE = 32
+_phi_cache: OrderedDict = OrderedDict()
+_value_cache: OrderedDict = OrderedDict()
+
+
+def _cache_get(cache: OrderedDict, key):
+    hit = cache.get(key)
+    if hit is not None:
+        cache.move_to_end(key)
+    return hit
+
+
+def _cache_put(cache: OrderedDict, key, value) -> None:
+    cache[key] = value
+    cache.move_to_end(key)
+    while len(cache) > _CACHE_SIZE:
+        cache.popitem(last=False)
 
 
 def phi_fr(r, ctx: PadicContext, length: int | None = None,
@@ -97,16 +118,17 @@ def phi_fr(r, ctx: PadicContext, length: int | None = None,
     f_r - t are w_1 = 0 and w_k = G_k A^-(k-1), with only the unit A ever
     inverted.  Default sizing picks the shortest length whose gexp
     certificate reaches the context precision; results are cached per
-    (r, p, length, precision).
+    (r, p, length, precision, tail target), and every call returns its own
+    copy.
     """
     r = require_unit(r, ctx.p)
     want = ctx.precision if tail_target is None else tail_target
     if length is None:
         length = gexp_length_for(ctx.p, want)
-    key = (r, ctx.p, length, ctx.precision)
-    hit = _phi_cache.get(key)
+    key = (r, ctx.p, length, ctx.precision, want)
+    hit = _cache_get(_phi_cache, key)
     if hit is not None:
-        return hit
+        return MahlerFn(ctx, hit.coeffs, hit.tail)
     A, B = r.numerator, r.denominator
     mod = ctx.p ** ctx.precision
     Ainv = pow(A, -1, mod)
@@ -117,8 +139,8 @@ def phi_fr(r, ctx: PadicContext, length: int | None = None,
         scale = scale * Ainv % mod
         weights.append(G * scale % mod)
     fn = _gexp_kernel(ctx, weights, length, want)
-    _phi_cache[key] = fn
-    return fn
+    _cache_put(_phi_cache, key, fn)
+    return MahlerFn(ctx, fn.coeffs, fn.tail)
 
 
 def poly_gexp(coeffs, ctx: PadicContext, length: int | None = None,
@@ -167,19 +189,12 @@ def psi_tilde_closed(r, m: int) -> Fraction:
     return math.factorial(m) / r ** m * s
 
 
-def _phi_lvalues(r: Fraction, phi: MahlerFn, ctx: PadicContext, K: int) -> list:
-    key = (r, ctx.p, phi.length, ctx.precision)
-    vals = _value_cache.setdefault(key, [])
-    while len(vals) <= K:
-        vals.append(phi.eval(Fraction(-1 - len(vals))))
-    return vals
-
-
 def Phi(r, s, ctx: PadicContext, target: int | None = None,
         route: str = "direct") -> PadicNumber:
     """L-transform value sum_k (s)_k phi_r(-1 - k) for s in Z_p.
 
-    route "direct" sums falling factorials against cached phi_r values;
+    route "direct" sums falling factorials against the cached L-values of
+    phi_r's default expansion;
     route "dirac" instead convolves phi_r with (1 - x)^{*s} and pairs the
     result against the Dirac measure at -1.  Both agree within precision
     and keep each other honest.
@@ -188,10 +203,13 @@ def Phi(r, s, ctx: PadicContext, target: int | None = None,
     if target is None:
         target = ctx.precision
     if route == "direct":
-        phi = phi_fr(r, ctx)
         K = factorial_length_for(ctx.p, target)
-        vals = _phi_lvalues(r, phi, ctx, K)
-        return l_value(phi, s, target=target, values=vals)
+        key = (r, ctx.p, ctx.precision)
+        vals = _cache_get(_value_cache, key)
+        if vals is None or len(vals.residues) <= K:
+            vals = l_values(phi_fr(r, ctx), K)
+            _cache_put(_value_cache, key, vals)
+        return l_value(None, s, target=target, values=vals)
     if route == "dirac":
         L = 2 * gexp_length_for(ctx.p, target)
         phi = phi_fr(r, ctx, length=L, tail_target=target)
@@ -267,8 +285,7 @@ def functional_eq_parts(coeffs, s, ctx: PadicContext, target: int | None = None,
     if target is None:
         target = ctx.precision
     phi = poly_gexp(coeffs, ctx, length=length)
-    K = factorial_length_for(ctx.p, target)
-    vals = [phi.eval(Fraction(-1 - j)) for j in range(K + 1)]
+    vals = l_values(phi, factorial_length_for(ctx.p, target))
 
     def value_at(x):
         return l_value(phi, x, target=target, values=vals)

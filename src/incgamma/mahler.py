@@ -204,7 +204,8 @@ class MahlerFn:
 
         x may be an int, a Fraction with p-free denominator, or a
         PadicNumber of valuation >= 0 (evaluated at its integer lift).
-        Reported precision is min(coefficient precision, tail exponent).
+        Reported precision is min(coefficient precision, tail exponent);
+        at a PadicNumber known mod p^N, also at most _point_claim(N).
         """
         ctx = self.ctx
         p = ctx.p
@@ -216,9 +217,11 @@ class MahlerFn:
             if M == INF:
                 M = ctx.precision
             X = x.residue(min(M, x.abs_precision)) if not x.is_exact_zero() else 0
-            if neg:
-                return self._eval_objects(X)
-            return self._eval_int_mod(X, M)
+            val = self._eval_objects(X) if neg else self._eval_int_mod(X, M)
+            if x.abs_precision == INF:
+                return val
+            cap = self._point_claim(x.abs_precision)
+            return val + PadicNumber(ctx, cap, 0, cap) if cap < val.abs_precision else val
         x = as_rational(x)
         if vp(x, p) < 0:
             raise ValueError("evaluation point must lie in Z_p")
@@ -230,6 +233,20 @@ class MahlerFn:
         if x.denominator == 1:
             return self._eval_int_mod(x.numerator, M)
         return self._eval_rational_mod(x, M)
+
+    def _point_claim(self, N: int):
+        """Claim of phi(x) for x known only mod p^N.
+
+        Each lift of x is X + p^N t, and by Vandermonde binom(X + p^N t, n)
+        - binom(X, n) = sum_(j>=1) binom(p^N t, j) binom(X, n - j) has
+        valuation >= N - floor(log_p n).  So term n claims
+        v(a_n) + N - floor(log_p n), and the unstored terms, which other
+        lifts reach, claim the tail exponent.
+        """
+        p = self.ctx.p
+        terms = (c.valuation + N - digit_count(n, p) + 1
+                 for n, c in enumerate(self.coeffs) if n and c.unit != 0)
+        return min(self.tail.exponent, min(terms, default=INF))
 
     def _eval_objects(self, x) -> PadicNumber:
         """Fallback for coefficients of negative valuation (norm > 1)."""

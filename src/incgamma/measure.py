@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact import INF, as_rational, vp
+from .exact import INF, as_rational, digit_count, vp
 from .padic import PadicContext, PadicNumber
 from .mahler import MahlerFn, Tail
 
@@ -81,17 +81,23 @@ class Measure:
 
 
 def dirac(x, ctx: PadicContext, length: int) -> Measure:
-    """delta_x with moments binom(x, n); |binom| <= 1 certifies the bound."""
+    """delta_x with moments binom(x, n); |binom| <= 1 certifies the bound.
+
+    At a PadicNumber x known mod p^N the moment binom(x, n) is fixed only
+    mod p^(N - floor(log_p n)) (see MahlerFn._point_claim), and claims that.
+    """
     if isinstance(x, PadicNumber):
         if not x.is_exact_zero() and x.valuation < 0:
             raise ValueError("Dirac point must lie in Z_p")
-        M = x.abs_precision if x.abs_precision != INF else ctx.precision
+        exact = x.abs_precision == INF
+        M = ctx.precision if exact else x.abs_precision
         X = 0 if x.is_exact_zero() else x.residue(M)
         mod = ctx.p ** M
         coeffs = []
         b = 1
         for n in range(length + 1):
-            coeffs.append(PadicNumber._make(ctx, 0, b % mod, M))
+            claim = M if exact or n == 0 else M - digit_count(n, ctx.p) + 1
+            coeffs.append(PadicNumber._make(ctx, 0, b % mod, claim))
             b = b * (X - n) // (n + 1)
         return Measure(ctx, coeffs, Tail(0, True, "binomials are integral"))
     x = as_rational(x)

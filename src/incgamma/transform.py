@@ -10,7 +10,9 @@ sums sum_k (s)_k phi(-1 - k) that drive the interpolation machinery.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .exact import INF, as_rational, vp, vp_factorial
 from .padic import PadicContext, PadicNumber, congruent
@@ -135,33 +137,111 @@ def l_transform(phi: MahlerFn, length: int | None = None) -> MahlerFn:
     return l_x(phi, Fraction(-1), length)
 
 
-def l_value(phi: MahlerFn, s, target: int | None = None,
-            values: list | None = None) -> PadicNumber:
-    """sum_k (s)_k phi(-1 - k): l_transform(phi) evaluated at s directly.
+@dataclass(frozen=True)
+class LValues:
+    """phi(-1 - k) = p^shift * residues[k] + O(p^claim) for k = 0..K.
 
-    No binomial is ever divided by k!, so nothing is lost to the division;
-    values, when given, caches phi(-1 - k) across calls.
+    shift <= 0 is the lowest stored coefficient valuation when that is
+    negative, so the residues are plain ints mod p^(claim - shift); norm is
+    phi.min_valuation(), which bounds the terms l_value leaves out.
+    """
+
+    ctx: PadicContext
+    residues: tuple
+    claim: int | float
+    shift: int
+    norm: int | float
+
+
+def l_values(phi: MahlerFn, K: int) -> LValues:
+    """phi(-1 - k) for k = 0..K, each claiming min(M, tail) as MahlerFn.eval does.
+
+    binom(-1 - k, n) = (-1)^n binom(n + k, k), so with a'_n = (-1)^n a_n
+    the value phi(-1 - k) is the total after k + 1 suffix-sum passes over
+    the a'_n.  Every pass runs on plain ints, reduced mod p^(M - shift)
+    only once the total, the largest entry, passes the square of that
+    modulus: one reduction per pass would cost more than the sums.
     """
     ctx = phi.ctx
+    M = phi._arith_precision()
+    if M == INF:
+        M = ctx.precision
+    shift, mod, row = _residues(ctx, phi.coeffs, M)
+    row = [-a % mod if n % 2 else a for n, a in enumerate(row)]
+    row.reverse()
+    out = []
+    for _ in range(K + 1):
+        row = list(accumulate(row))
+        out.append(row[-1] % mod)
+        if row[-1] >= mod * mod:
+            row = list(map(mod.__rmod__, row))
+    return LValues(ctx, tuple(out), min(M, phi.tail.exponent), shift,
+                   phi.min_valuation())
+
+
+def _residues(ctx: PadicContext, numbers, M: int) -> tuple:
+    """(shift, p^(M - shift), residues of p^-shift x mod that) for PadicNumbers
+    x known mod p^M, where shift = min(0, lowest valuation among them)."""
+    p = ctx.p
+    shift = min(0, min((x.valuation for x in numbers if x.unit != 0), default=0))
+    mod = p ** max(0, M - shift)
+    return shift, mod, [x.unit * p ** (x.valuation - shift) % mod if x.unit != 0 else 0
+                        for x in numbers]
+
+
+def _as_lvalues(ctx: PadicContext, values: list, norm) -> LValues:
+    """Residue record of a list of PadicNumber values phi(-1 - k)."""
+    claim = min((v.abs_precision for v in values), default=INF)
+    shift, _, residues = _residues(ctx, values, min(claim, ctx.precision))
+    return LValues(ctx, tuple(residues), claim, shift, norm)
+
+
+def l_value(phi: MahlerFn | None, s, target: int | None = None,
+            values: LValues | list | None = None) -> PadicNumber:
+    """sum_k (s)_k phi(-1 - k) for k <= K: l_transform(phi) evaluated at s directly.
+
+    K is the least length with v_p((K+1)!) >= target.  values caches the
+    phi(-1 - k) across calls: an LValues record from l_values (phi may then
+    be None), or a list of PadicNumbers, which is converted once; either
+    must reach index K.  The sum runs on residues, and claims
+    min(values claim, M + shift, N + shift, v_p((K+1)!) + e), where
+    M = ctx.precision, N is the precision of a PadicNumber s, shift the
+    record's (0 unless some value has negative valuation) and e =
+    phi.min_valuation() bounds the terms beyond K.
+    """
+    ctx = values.ctx if isinstance(values, LValues) else phi.ctx
+    p = ctx.p
     if target is None:
         target = ctx.precision
-    K = factorial_length_for(ctx.p, target)
-    ss = s if isinstance(s, PadicNumber) else ctx.number(as_rational(s))
-    if not ss.is_exact_zero() and ss.valuation < 0:
-        raise ValueError("s must lie in Z_p")
-    if values is not None and len(values) <= K:
-        raise ValueError(f"need {K + 1} cached values, got {len(values)}")
-    acc = ctx.zero()
-    fall = ctx.one()  # (s)_k
-    for k in range(K + 1):
-        v = values[k] if values is not None else phi.eval(Fraction(-1 - k))
-        acc = acc + fall * v
-        fall = fall * (ss - ctx.number(k))
-    e = phi.min_valuation()
-    if e != INF:
-        T = vp_factorial(K + 1, ctx.p) + e
-        acc = acc + PadicNumber(ctx, T, 0, T)
-    return acc
+    K = factorial_length_for(p, target)
+    if values is None:
+        values = l_values(phi, K)
+    elif not isinstance(values, LValues):
+        values = _as_lvalues(ctx, values, phi.min_valuation())
+    claim = min(values.claim, ctx.precision + values.shift)
+    if isinstance(s, PadicNumber):
+        if not s.is_exact_zero() and s.valuation < 0:
+            raise ValueError("s must lie in Z_p")
+        claim = min(claim, s.abs_precision + values.shift)
+    else:
+        s = as_rational(s)
+        if vp(s, p) < 0:
+            raise ValueError("s must lie in Z_p")
+    if len(values.residues) <= K:
+        raise ValueError(f"need {K + 1} cached values, got {len(values.residues)}")
+    if values.norm != INF:
+        claim = min(claim, vp_factorial(K + 1, p) + values.norm)
+    mod = p ** max(0, claim - values.shift)
+    if isinstance(s, PadicNumber):
+        S = s.residue(claim - values.shift) if claim > values.shift else 0
+    else:
+        S = s.numerator * pow(s.denominator, -1, mod) % mod
+    acc = 0
+    fall = 1  # (s)_k mod p^(claim - shift)
+    for k, v in enumerate(values.residues[:K + 1]):
+        acc += fall * v
+        fall = fall * (S - k) % mod
+    return PadicNumber._make(ctx, values.shift, acc % mod, claim)
 
 
 class AmiceElem:

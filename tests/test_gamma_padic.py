@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from incgamma import gamma_padic
 from incgamma.gamma_padic import (CompatibilityError, GammaValue,
                                   PlaceExcludedError, Phi, Psi,
                                   compatible_cubic, f_r_series,
@@ -88,6 +89,27 @@ def test_phi_fr_certified_tail_default():
     phi = phi_fr(2, ctx)
     assert phi.tail.certified
     assert phi.tail.exponent >= 16
+
+
+def test_phi_fr_hands_out_copies():
+    ctx = PadicContext(3, 10)
+    before = Phi(2, 5, ctx)
+    phi_fr(2, ctx).coeffs[0] = ctx.number(7)
+    assert phi_fr(2, ctx).coeffs[0] == ctx.one()
+    assert Phi(2, 5, ctx) == before
+
+
+def test_caches_stay_bounded():
+    ctx = PadicContext(5, 4)
+    rs = [Fraction(5 * a + 1, 7) for a in range(200)]
+    assert len(rs) > gamma_padic._CACHE_SIZE
+    first = Phi(rs[0], 3, ctx)
+    for r in rs:
+        Phi(r, 3, ctx)
+        phi_fr(r, ctx, length=20)
+        assert len(gamma_padic._phi_cache) <= gamma_padic._CACHE_SIZE
+        assert len(gamma_padic._value_cache) <= gamma_padic._CACHE_SIZE
+    assert Phi(rs[0], 3, ctx) == first  # evicted, then rebuilt alike
 
 
 def test_sigma_shift_relation():

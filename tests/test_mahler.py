@@ -4,7 +4,6 @@ from fractions import Fraction
 
 import pytest
 
-from incgamma.exact import INF, vp
 from incgamma.mahler import (
     ExactMahler,
     MahlerFn,
@@ -17,7 +16,7 @@ from incgamma.mahler import (
     one_exact,
     one_fn,
 )
-from incgamma.padic import PadicContext, congruent
+from incgamma.padic import PadicContext, PadicNumber, congruent
 from incgamma.series import TruncSeries, gexp
 
 
@@ -150,6 +149,36 @@ def test_eval_padic_point_matches_integer_lift():
         n = rng.randrange(0, 5 ** 10)
         got = f.to_padic(ctx).eval(ctx.number(n))
         assert congruent(got, ctx.number(f.eval(n)), 9)
+
+
+def test_eval_at_imprecise_point_does_not_overclaim():
+    # binom(x, 3) at x = O(3^5): the lift 3^5 gives binom(243, 3) of valuation 4
+    ctx = PadicContext(3, 10)
+    phi = MahlerFn(ctx, [0, 0, 0, 1], Tail.exact())
+    got = phi.eval(PadicNumber(ctx, 5, 0, 5))
+    assert got.abs_precision <= 4
+    assert congruent(got, ctx.number(math.comb(243, 3)), got.abs_precision)
+
+
+def test_eval_at_imprecise_point_agrees_with_every_lift():
+    ctx = PadicContext(3, 12)
+    rng = random.Random(34)
+    for _ in range(20):
+        f = rand_exact(rng, support=rng.randint(2, 12), denoms=(1, 2, 3))
+        N = rng.randint(2, 6)
+        X = rng.randrange(3 ** N)
+        got = f.to_padic(ctx).eval(PadicNumber._make(ctx, 0, X, N))
+        for t in range(4):
+            lift = X + 3 ** N * rng.randrange(3 ** 6)
+            assert congruent(got, ctx.number(f.eval(lift)), got.abs_precision)
+
+
+def test_eval_at_imprecise_point_sees_the_tail():
+    # X = 2 lies inside the stored range, but other lifts reach the tail
+    ctx = PadicContext(3, 10)
+    phi = MahlerFn(ctx, [1, 1, 1], Tail(4, True, "test"))
+    assert phi.eval(PadicNumber._make(ctx, 0, 2, 8)).abs_precision <= 4
+    assert phi.eval(2).abs_precision == 10
 
 
 def test_padic_shift_matches_exact():

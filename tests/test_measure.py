@@ -1,11 +1,12 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from incgamma.mahler import ExactMahler, one_fn
-from incgamma.measure import Measure, dirac, integrate, mu_psi_x
-from incgamma.padic import PadicContext, congruent
+from incgamma.mahler import ExactMahler
+from incgamma.measure import dirac, integrate, mu_psi_x
+from incgamma.padic import PadicContext, PadicNumber, congruent
 
 
 def rand_exact(rng, support=6):
@@ -47,6 +48,17 @@ def test_integrate_with_padic_dirac_point():
         n = rng.randrange(0, 3 ** 12)
         mu = dirac(ctx.number(n), ctx, f.length)
         assert congruent(integrate(f.to_padic(ctx), mu), ctx.number(f.eval(n)), 10)
+
+
+def test_dirac_at_imprecise_point_does_not_overclaim():
+    ctx = PadicContext(3, 10)
+    mu = dirac(PadicNumber(ctx, 5, 0, 5), ctx, 9)
+    # the lift 3^5 gives binom(243, 3) of valuation 4, binom(243, 9) of 3
+    assert mu.coeff(3).abs_precision <= 4
+    assert mu.coeff(9).abs_precision <= 3
+    for n in range(10):
+        assert congruent(mu.coeff(n), ctx.number(math.comb(243, n)),
+                         mu.coeff(n).abs_precision)
 
 
 def test_mu_psi_x_moments_example():

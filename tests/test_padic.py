@@ -8,7 +8,6 @@ from incgamma.exact import INF, vp_factorial
 from incgamma.padic import (
     DivergentSeriesError,
     PadicContext,
-    PadicNumber,
     congruent,
     from_rational,
     p_exp,

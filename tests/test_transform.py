@@ -3,10 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from incgamma.mahler import ExactMahler, one_fn
-from incgamma.padic import PadicContext, congruent
+from incgamma.exact import falling
+from incgamma.gamma_padic import phi_fr
+from incgamma.mahler import ExactMahler, MahlerFn, Tail, one_fn
+from incgamma.padic import PadicContext, PadicNumber, congruent
 from incgamma.transform import (AmiceElem, factorial_length_for, l_transform,
-                                l_value, l_x, one_minus_x_pow, parts_check,
+                                l_value, l_values, l_x, one_minus_x_pow, parts_check,
                                 q_function, s_transform, two_var)
 
 
@@ -216,6 +218,67 @@ def test_l_value_cached_values():
     assert congruent(a, b, 12)
     with pytest.raises(ValueError):
         l_value(f, 4, target=12, values=cache[:3])
+
+
+def _l_values_case(name):
+    ctx = PadicContext(3, 12)
+    if name.startswith("phi_fr"):
+        r, p = name.split()[1:]
+        return phi_fr(Fraction(r), PadicContext(int(p), 12))
+    if name == "exact":
+        return ExactMahler([1, -2, 5, Fraction(1, 2), 7]).to_padic(ctx)
+    if name == "heuristic":
+        short = phi_fr(2, ctx, length=12)
+        assert not short.tail.certified
+        return short
+    # coefficients of valuation -2 and -1: the kernel runs on 3^2 a_n
+    if name == "non-integral exact":
+        return ExactMahler([Fraction(1, 3), 2, Fraction(-5, 9), 1]).to_padic(ctx)
+    return MahlerFn(ctx, [Fraction(1, 3), 2, Fraction(-5, 3), 1], Tail(5, True, "test"))
+
+
+@pytest.mark.parametrize("name", [
+    "phi_fr 2 3", "phi_fr 5/3 7", "phi_fr -2 5", "phi_fr 3 2", "phi_fr 1 5",
+    "phi_fr -1 3", "exact", "heuristic", "non-integral exact", "non-integral tail"])
+def test_l_values_match_eval_in_value_and_claim(name):
+    phi = _l_values_case(name)
+    K = factorial_length_for(phi.ctx.p, 12)
+    rec = l_values(phi, K)
+    assert len(rec.residues) == K + 1
+    assert rec.norm == phi.min_valuation()
+    for k in range(K + 1):
+        got = PadicNumber._make(phi.ctx, rec.shift, rec.residues[k], rec.claim)
+        assert got == phi.eval(Fraction(-1 - k))
+
+
+def test_l_value_at_nonnegative_integer_is_the_exact_finite_sum():
+    rng = random.Random(69)
+    for p in (3, 5):
+        ctx = PadicContext(p, 14)
+        K = factorial_length_for(p, 12)
+        for _ in range(6):
+            f = ExactMahler([Fraction(rng.randint(-9, 9), rng.choice((1, 2, p + 1)))
+                             for _ in range(rng.randint(1, 7))])
+            phi = f.to_padic(ctx)
+            for s in (0, 1, rng.randint(2, K), rng.randint(K + 1, 3 * K)):
+                # (s)_k vanishes for k > s, so the series is this finite sum
+                exact = sum(falling(s, k) * f.eval(-1 - k) for k in range(s + 1))
+                got = l_value(phi, s, target=12)
+                assert got.abs_precision >= 12
+                assert congruent(got, ctx.number(exact), got.abs_precision)
+
+
+def test_l_value_claim_at_an_imprecise_s():
+    ctx = PadicContext(5, 20)
+    phi = phi_fr(2, ctx)
+    rng = random.Random(70)
+    for N in (3, 9, 15):
+        S = rng.randrange(5 ** N)
+        got = l_value(phi, PadicNumber._make(ctx, 0, S, N))
+        assert got.abs_precision <= N
+        for _ in range(3):
+            lift = S + 5 ** N * rng.randrange(5 ** 20)
+            assert congruent(got, l_value(phi, lift), got.abs_precision)
 
 
 def test_amice_to_mahler_small():
