@@ -34,7 +34,7 @@ from .mahler import (
     one_exact,
     one_fn,
 )
-from .measure import Measure, dirac, integrate, mu_psi_x
+from .measure import dirac, integrate, mu_psi_x
 from .transform import (
     AmiceElem,
     factorial_length_for,

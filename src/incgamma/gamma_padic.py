@@ -87,7 +87,8 @@ def phi_values_exact(r, count: int) -> list:
 
 # Least-recently-used caches of at most _CACHE_SIZE entries each.
 # _phi_cache maps (r, p, length, precision, tail target) to a MahlerFn that
-# phi_fr copies before handing out.  _value_cache maps (r, p, precision),
+# phi_fr hands out as it is: its coefficients are a tuple, so no caller can
+# change the cached expansion.  _value_cache maps (r, p, precision),
 # which fix phi_fr's default length, to the immutable LValues record of
 # that expansion, so a warm Phi never builds phi_r at all.
 _CACHE_SIZE = 32
@@ -118,8 +119,8 @@ def phi_fr(r, ctx: PadicContext, length: int | None = None,
     f_r - t are w_1 = 0 and w_k = G_k A^-(k-1), with only the unit A ever
     inverted.  Default sizing picks the shortest length whose gexp
     certificate reaches the context precision; results are cached per
-    (r, p, length, precision, tail target), and every call returns its own
-    copy.
+    (r, p, length, precision, tail target), and a hit returns the cached
+    expansion itself, whose coefficient tuple cannot be changed.
     """
     r = require_unit(r, ctx.p)
     want = ctx.precision if tail_target is None else tail_target
@@ -128,7 +129,7 @@ def phi_fr(r, ctx: PadicContext, length: int | None = None,
     key = (r, ctx.p, length, ctx.precision, want)
     hit = _cache_get(_phi_cache, key)
     if hit is not None:
-        return MahlerFn(ctx, hit.coeffs, hit.tail)
+        return hit
     A, B = r.numerator, r.denominator
     mod = ctx.p ** ctx.precision
     Ainv = pow(A, -1, mod)
@@ -140,7 +141,7 @@ def phi_fr(r, ctx: PadicContext, length: int | None = None,
         weights.append(G * scale % mod)
     fn = _gexp_kernel(ctx, weights, length, want)
     _cache_put(_phi_cache, key, fn)
-    return MahlerFn(ctx, fn.coeffs, fn.tail)
+    return fn
 
 
 def poly_gexp(coeffs, ctx: PadicContext, length: int | None = None,

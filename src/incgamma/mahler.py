@@ -1,11 +1,15 @@
 """Continuous functions on Z_p through their Mahler expansions.
 
 phi = sum a_n binom(x, n), with ||phi|| = sup |a_n|.  A MahlerFn stores
-a_0..a_K as PadicNumbers together with a Tail record bounding every
-coefficient beyond K.  ExactMahler is the finitely-supported rational
-counterpart used wherever exactness matters (oracles, the correspondence
-checks, small building blocks); it reduces into a MahlerFn with an exact
-tail.
+a_0..a_K as an immutable tuple of PadicNumbers together with a Tail record
+bounding every coefficient beyond K; the measures of measure are the same
+data, read as moments.  Every sum over the coefficients (evaluation,
+convolution, the L-values of transform) runs on plain ints: _residues
+factors p^shift out of the coefficients, shift = min(0, lowest valuation),
+and the result is PadicNumber._make(ctx, shift, total, claim).
+ExactMahler is the finitely-supported rational counterpart used wherever
+exactness matters (oracles, the correspondence checks, small building
+blocks); it reduces into a MahlerFn with an exact tail.
 
 The exponential-generating-function correspondences of ExactMahler:
 prodcorr(phi) = sum (nabla^n phi)(0) t^n/n!   (algebra map for convolution)
@@ -144,16 +148,19 @@ def one_exact() -> ExactMahler:
 
 
 class MahlerFn:
-    """Mahler expansion with p-adic coefficients and a tail record."""
+    """Mahler expansion with p-adic coefficients and a tail record.
+
+    coeffs is an immutable tuple of PadicNumbers a_0..a_K, and tail bounds
+    every a_n with n > K.  The same data is a bounded measure read through
+    its moments (see measure), so functions and measures share this type.
+    """
 
     __slots__ = ("ctx", "coeffs", "tail")
 
     def __init__(self, ctx: PadicContext, coeffs, tail: Tail):
         self.ctx = ctx
-        self.coeffs = [c if isinstance(c, PadicNumber) else ctx.number(as_rational(c))
-                       for c in coeffs]
-        if not self.coeffs:
-            self.coeffs = [ctx.zero()]
+        self.coeffs = tuple(c if isinstance(c, PadicNumber) else ctx.number(as_rational(c))
+                            for c in coeffs) or (ctx.zero(),)
         self.tail = tail
 
     @property
@@ -177,10 +184,9 @@ class MahlerFn:
 
     def min_valuation(self):
         """Exponent e with ||phi|| <= p^(-e); equality when the stored
-        minimum does not exceed the tail bound (the usual case)."""
-        stored = min((self._coeff_valuation(n) for n in range(self.length + 1)),
-                     default=INF)
-        return min(stored, self.tail.exponent)
+        minimum does not exceed the tail bound (the usual case).  INF means
+        certified zero."""
+        return self.valuation_beyond(-1)
 
     def sup_norm(self) -> float:
         e = self.min_valuation()
@@ -203,33 +209,26 @@ class MahlerFn:
         """phi(x) for x in Z_p.
 
         x may be an int, a Fraction with p-free denominator, or a
-        PadicNumber of valuation >= 0 (evaluated at its integer lift).
+        PadicNumber of valuation >= 0 (evaluated at its full integer lift).
         Reported precision is min(coefficient precision, tail exponent);
         at a PadicNumber known mod p^N, also at most _point_claim(N).
         """
         ctx = self.ctx
-        p = ctx.p
-        neg = any(c.valuation < 0 for c in self.coeffs if not c.is_exact_zero())
+        M = self._arith_precision()
         if isinstance(x, PadicNumber):
             if not x.is_exact_zero() and x.valuation < 0:
                 raise ValueError("evaluation point must lie in Z_p")
-            M = min(self._arith_precision(), x.abs_precision)
-            if M == INF:
-                M = ctx.precision
-            X = x.residue(min(M, x.abs_precision)) if not x.is_exact_zero() else 0
-            val = self._eval_objects(X) if neg else self._eval_int_mod(X, M)
+            M = min(M, x.abs_precision)
+            val = self._eval_int_mod(x.lift(), ctx.precision if M == INF else M)
             if x.abs_precision == INF:
                 return val
             cap = self._point_claim(x.abs_precision)
             return val + PadicNumber(ctx, cap, 0, cap) if cap < val.abs_precision else val
         x = as_rational(x)
-        if vp(x, p) < 0:
+        if vp(x, ctx.p) < 0:
             raise ValueError("evaluation point must lie in Z_p")
-        M = self._arith_precision()
         if M == INF:
             M = ctx.precision
-        if neg:
-            return self._eval_objects(x)
         if x.denominator == 1:
             return self._eval_int_mod(x.numerator, M)
         return self._eval_rational_mod(x, M)
@@ -248,52 +247,28 @@ class MahlerFn:
                  for n, c in enumerate(self.coeffs) if n and c.unit != 0)
         return min(self.tail.exponent, min(terms, default=INF))
 
-    def _eval_objects(self, x) -> PadicNumber:
-        """Fallback for coefficients of negative valuation (norm > 1)."""
-        ctx = self.ctx
-        acc = ctx.zero()
-        x = as_rational(x) if not isinstance(x, int) else x
-        b = Fraction(1)
-        for n, c in enumerate(self.coeffs):
-            if not c.is_exact_zero() and b != 0:
-                acc = acc + c * b
-            b = b * (x - n) / (n + 1)
-        integral_point = (isinstance(x, int) or x.denominator == 1)
-        if 0 <= x <= self.length and integral_point:
-            return acc  # the tail never enters
-        if self.tail.exponent != INF:
-            acc = acc + PadicNumber(ctx, self.tail.exponent, 0, self.tail.exponent)
-        return acc
-
     def _eval_int_mod(self, X: int, M) -> PadicNumber:
-        ctx = self.ctx
-        mod = ctx.p ** M
+        # binom(X, n) = 0 beyond X >= 0, so only a_0..a_X enter
+        stop = min(self.length, X) if X >= 0 else self.length
+        shift, mod, res = _residues(self.ctx, self.coeffs[:stop + 1], M)
         acc = 0
         b = 1  # binom(X, n), exact integer, updated incrementally
-        stop = min(self.length, X) if X >= 0 else self.length
-        for n in range(stop + 1):
-            c = self.coeffs[n]
-            if c.unit != 0:
-                acc = (acc + c.residue(M) * (b % mod)) % mod
+        for n, c in enumerate(res):
+            if c:
+                acc += c * (b % mod)
             b = b * (X - n) // (n + 1)
-        if 0 <= X <= self.length:
-            claim = M  # binom(X, n) = 0 beyond X: the tail never enters
-        else:
-            claim = min(M, self.tail.exponent)
-        return PadicNumber._make(ctx, 0, acc, claim)
+        claim = M if 0 <= X <= self.length else min(M, self.tail.exponent)
+        return PadicNumber._make(self.ctx, shift, acc % mod, claim)
 
     def _eval_rational_mod(self, x: Fraction, M) -> PadicNumber:
-        ctx = self.ctx
-        mod = ctx.p ** M
+        shift, mod, res = _residues(self.ctx, self.coeffs, M)
         acc = 0
         b = Fraction(1)
-        for n, c in enumerate(self.coeffs):
-            if c.unit != 0 and b != 0:
-                r = (b.numerator * pow(b.denominator, -1, mod)) % mod
-                acc = (acc + c.residue(M) * r) % mod
+        for n, c in enumerate(res):
+            if c and b:
+                acc += c * (b.numerator * pow(b.denominator, -1, mod))
             b = b * (x - n) / (n + 1)
-        claim = min(M, self.tail.exponent)
-        return PadicNumber._make(ctx, 0, acc, claim)
+        return PadicNumber._make(self.ctx, shift, acc % mod, min(M, self.tail.exponent))
 
     # -- shift algebra -----------------------------------------------------
 
@@ -331,16 +306,7 @@ class MahlerFn:
     def add(self, other: "MahlerFn") -> "MahlerFn":
         if self.ctx.p != other.ctx.p:
             raise ValueError("mixed primes")
-        Ka, Kb = self.length, other.length
-        exp_a, exp_b = self.tail.exponent, other.tail.exponent
-        if exp_a == INF and exp_b == INF:
-            K = max(Ka, Kb)
-        elif exp_a == INF:
-            K = Kb
-        elif exp_b == INF:
-            K = Ka
-        else:
-            K = min(Ka, Kb)
+        K = _joint_length(self, other, max(self.length, other.length))
         coeffs = [self.coeff(n) + other.coeff(n) for n in range(K + 1)]
         texp = min(self.valuation_beyond(K), other.valuation_beyond(K))
         certified = self.tail.certified and other.tail.certified
@@ -358,83 +324,64 @@ def one_fn(ctx: PadicContext) -> MahlerFn:
     return MahlerFn(ctx, [ctx.number(1)], Tail.exact())
 
 
+def _joint_length(a: MahlerFn, b: MahlerFn, exact: int) -> int:
+    """Stored length of a result built termwise from a and b: exact when
+    both tails are exact, else the shortest length behind a finite tail."""
+    return min((f.length for f in (a, b) if f.tail.exponent != INF), default=exact)
+
+
+def _residues(ctx: PadicContext, numbers, M) -> tuple:
+    """(shift, p^(M - shift), residues of p^-shift x mod that) for PadicNumbers
+    x known mod p^M, where shift = min(0, lowest valuation among them).
+
+    Every sum over coefficients runs on these plain ints and returns
+    PadicNumber._make(ctx, shift, total, claim).
+    """
+    p = ctx.p
+    shift = min(0, min((x.valuation for x in numbers if x.unit != 0), default=0))
+    mod = p ** max(0, M - shift)
+    return shift, mod, [x.unit * p ** (x.valuation - shift) % mod if x.unit != 0 else 0
+                        for x in numbers]
+
+
 def convolve(a: MahlerFn, b: MahlerFn, length: int | None = None) -> MahlerFn:
     """Multiplicative convolution: c_n = sum_k binom(n,k) a_k b_{n-k}.
 
     Output length: full support when both tails are exact, otherwise the
-    shortest certain range (or an explicit cap).  The output tail pairs each
-    factor's tail beyond index floor(K/2) with the other factor's norm.
+    shortest certain range (or an explicit cap).  With both factors known
+    mod p^M and factored as p^sa, p^sb times residues (sa, sb <= 0), every
+    c_n claims M + min(sa, sb).  The output tail pairs each factor's tail
+    beyond index floor(K/2) with the other factor's norm.
     """
     if a.ctx.p != b.ctx.p:
         raise ValueError("mixed primes")
     ctx = a.ctx
-    Ka, Kb = a.length, b.length
-    exp_a, exp_b = a.tail.exponent, b.tail.exponent
-    if exp_a == INF and exp_b == INF:
-        K_out = Ka + Kb
-    elif exp_a == INF:
-        K_out = Kb
-    elif exp_b == INF:
-        K_out = Ka
-    else:
-        K_out = min(Ka, Kb)
+    K_out = _joint_length(a, b, a.length + b.length)
     if length is not None:
         K_out = min(K_out, length)
-
-    neg = any(c.valuation < 0 for c in a.coeffs if not c.is_exact_zero()) or \
-        any(c.valuation < 0 for c in b.coeffs if not c.is_exact_zero())
-    Ma = a._arith_precision()
-    Mb = b._arith_precision()
-    M = min(Ma, Mb)
+    M = min(a._arith_precision(), b._arith_precision())
     if M == INF:
         M = ctx.precision
-    if neg:
-        coeffs = _convolve_objects(a, b, K_out)
-    else:
-        coeffs = _convolve_residues(a, b, K_out, M)
-
-    half = K_out // 2
-    texp = min(a.valuation_beyond(half) + _norm_exponent(b),
-               b.valuation_beyond(half) + _norm_exponent(a))
-    certified = a.tail.certified and b.tail.certified
-    return MahlerFn(ctx, coeffs, Tail(texp, certified, "convolution"))
-
-
-def _norm_exponent(f: MahlerFn):
-    # INF means certified zero: every product term vanishes exactly
-    return f.min_valuation()
-
-
-def _convolve_residues(a: MahlerFn, b: MahlerFn, K_out: int, M) -> list:
-    ctx = a.ctx
-    mod = ctx.p ** M
-    ra = [c.residue(M) if c.unit != 0 else 0 for c in a.coeffs]
-    rb = [c.residue(M) if c.unit != 0 else 0 for c in b.coeffs]
+    sa, _, ra = _residues(ctx, a.coeffs, M)
+    sb, _, rb = _residues(ctx, b.coeffs, M)
     ra += [0] * (K_out + 1 - len(ra))
     rb += [0] * (K_out + 1 - len(rb))
-    out = []
-    row = [1]  # Pascal row binom(n, k) mod p^M
+    mod = ctx.p ** max(0, M - max(sa, sb))
+    coeffs = []
+    row = [1]  # Pascal row binom(n, k) mod p^(M - max(sa, sb))
     for n in range(K_out + 1):
         acc = 0
         for k in range(n + 1):
             if ra[k] and rb[n - k]:
                 acc += row[k] * ra[k] * rb[n - k]
-        out.append(PadicNumber._make(ctx, 0, acc % mod, M))
-        nxt = [1] + [(row[k - 1] + row[k]) % mod for k in range(1, n + 1)] + [1]
-        row = nxt
-    return out
+        coeffs.append(PadicNumber._make(ctx, sa + sb, acc % mod, M + min(sa, sb)))
+        row = [1] + [(row[k - 1] + row[k]) % mod for k in range(1, n + 1)] + [1]
 
-
-def _convolve_objects(a: MahlerFn, b: MahlerFn, K_out: int) -> list:
-    za = a.coeffs + [a.ctx.zero()] * (K_out + 1 - len(a.coeffs))
-    zb = b.coeffs + [b.ctx.zero()] * (K_out + 1 - len(b.coeffs))
-    out = []
-    for n in range(K_out + 1):
-        acc = a.ctx.zero()
-        for k in range(n + 1):
-            acc = acc + math.comb(n, k) * za[k] * zb[n - k]
-        out.append(acc)
-    return out
+    half = K_out // 2
+    texp = min(a.valuation_beyond(half) + b.min_valuation(),
+               b.valuation_beyond(half) + a.min_valuation())
+    certified = a.tail.certified and b.tail.certified
+    return MahlerFn(ctx, coeffs, Tail(texp, certified, "convolution"))
 
 
 def heuristic_tail(ctx: PadicContext, coeffs, guard: int = 5) -> Tail:

@@ -16,7 +16,7 @@ from itertools import accumulate
 
 from .exact import INF, as_rational, vp, vp_factorial
 from .padic import PadicContext, PadicNumber, congruent
-from .mahler import MahlerFn, Tail, convolve
+from .mahler import MahlerFn, Tail, _residues, convolve
 from .measure import dirac, integrate
 
 
@@ -177,16 +177,6 @@ def l_values(phi: MahlerFn, K: int) -> LValues:
             row = list(map(mod.__rmod__, row))
     return LValues(ctx, tuple(out), min(M, phi.tail.exponent), shift,
                    phi.min_valuation())
-
-
-def _residues(ctx: PadicContext, numbers, M: int) -> tuple:
-    """(shift, p^(M - shift), residues of p^-shift x mod that) for PadicNumbers
-    x known mod p^M, where shift = min(0, lowest valuation among them)."""
-    p = ctx.p
-    shift = min(0, min((x.valuation for x in numbers if x.unit != 0), default=0))
-    mod = p ** max(0, M - shift)
-    return shift, mod, [x.unit * p ** (x.valuation - shift) % mod if x.unit != 0 else 0
-                        for x in numbers]
 
 
 def _as_lvalues(ctx: PadicContext, values: list, norm) -> LValues:

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from incgamma.exact import binom
 from incgamma.mahler import (
     ExactMahler,
     MahlerFn,
@@ -134,11 +135,18 @@ def test_eval_rejects_points_outside_zp():
 def test_eval_rational_point_matches_exact():
     ctx = PadicContext(7, 15)
     rng = random.Random(31)
-    for _ in range(10):
-        f = rand_exact(rng)
-        x = Fraction(rng.randint(-20, 20), rng.choice([1, 2, 3, 5]))
-        got = f.to_padic(ctx).eval(x)
-        assert congruent(got, ctx.number(f.eval(x)), 13)
+    # 1/7 and 1/49 give coefficients of negative valuation (shift below 0)
+    for denoms in ((1, 2, 3), (1, 7, 49)):
+        for _ in range(10):
+            f = rand_exact(rng, denoms=denoms)
+            x = Fraction(rng.randint(-20, 20), rng.choice([1, 2, 3, 5]))
+            pf = f.to_padic(ctx)
+            got = pf.eval(x)
+            assert congruent(got, ctx.number(f.eval(x)), 13)
+            assert congruent(got, ctx.number(f.eval(x), abs_prec=30), got.abs_precision)
+            # no claim above a PadicNumber sum that keeps each term's claim
+            per_term = sum((c * binom(x, n) for n, c in enumerate(pf.coeffs)), ctx.zero())
+            assert got.abs_precision <= per_term.abs_precision
 
 
 def test_eval_padic_point_matches_integer_lift():
@@ -149,6 +157,16 @@ def test_eval_padic_point_matches_integer_lift():
         n = rng.randrange(0, 5 ** 10)
         got = f.to_padic(ctx).eval(ctx.number(n))
         assert congruent(got, ctx.number(f.eval(n)), 9)
+
+
+def test_eval_at_point_more_precise_than_coefficients():
+    # binom(3^10, 3) = 3^9 mod 3^10: the point must not be cut to 10 digits
+    ctx = PadicContext(3, 10)
+    phi = MahlerFn(ctx, [0, 0, 0, 1], Tail.exact())
+    x = PadicNumber._make(ctx, 0, 3 ** 10, 20)
+    got = phi.eval(x)
+    assert got.valuation == 9
+    assert congruent(got, ctx.number(math.comb(3 ** 10, 3)), got.abs_precision)
 
 
 def test_eval_at_imprecise_point_does_not_overclaim():
@@ -195,13 +213,22 @@ def test_padic_shift_matches_exact():
 def test_padic_convolve_matches_exact():
     ctx = PadicContext(5, 14)
     rng = random.Random(34)
-    for _ in range(10):
-        a, b = rand_exact(rng, 5), rand_exact(rng, 7)
-        c = a.convolve(b)
-        pc = convolve(a.to_padic(ctx), b.to_padic(ctx))
-        assert pc.length == c.length
-        for n in range(c.length + 1):
-            assert congruent(pc.coeff(n), ctx.number(c.coeff(n)), 12)
+    # 1/5 and 1/25 give coefficients of negative valuation (shift below 0)
+    for denoms in ((1, 2, 3), (1, 5, 25)):
+        for _ in range(10):
+            a, b = rand_exact(rng, 5, denoms), rand_exact(rng, 7, denoms)
+            c = a.convolve(b)
+            pa, pb = a.to_padic(ctx), b.to_padic(ctx)
+            pc = convolve(pa, pb)
+            assert pc.length == c.length
+            for n in range(c.length + 1):
+                got = pc.coeff(n)
+                assert congruent(got, ctx.number(c.coeff(n)), 12)
+                assert congruent(got, ctx.number(c.coeff(n), abs_prec=30),
+                                 got.abs_precision)
+                per_term = sum((math.comb(n, k) * pa.coeff(k) * pb.coeff(n - k)
+                                for k in range(n + 1)), ctx.zero())
+                assert got.abs_precision <= per_term.abs_precision
 
 
 def test_convolve_norm_submultiplicative():

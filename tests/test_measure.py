@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from incgamma.mahler import ExactMahler
+from incgamma.mahler import ExactMahler, MahlerFn, Tail
 from incgamma.measure import dirac, integrate, mu_psi_x
 from incgamma.padic import PadicContext, PadicNumber, congruent
 
@@ -26,7 +26,7 @@ def test_dirac_integer_point_is_finite():
     mu = dirac(3, ctx, 8)
     assert congruent(mu.coeff(2), ctx.number(3), 10)
     assert congruent(mu.coeff(4), ctx.number(0), 10)
-    assert mu.bound.exponent == float("inf")
+    assert mu.tail.exponent == float("inf")
 
 
 def test_integrate_against_dirac_is_evaluation():
@@ -99,10 +99,21 @@ def test_bilinearity():
         assert congruent(integrate(pf, nu), integrate(pf, mu) * 8, 12)
 
 
+def test_sum_of_measures_does_not_overclaim():
+    # the sum keeps only b's 3 moments, so a's moment 5 lands in its tail
+    ctx = PadicContext(3, 20)
+    a = MahlerFn(ctx, [0, 0, 0, 0, 0, 1], Tail(10, True, "test"))
+    b = MahlerFn(ctx, [0, 0, 0], Tail(10, True, "test"))
+    phi = MahlerFn(ctx, [0, 0, 0, 0, 0, 1], Tail.exact())  # binom(x, 5)
+    assert integrate(phi, a) == ctx.one()
+    got = integrate(phi, a.add(b))
+    assert congruent(got, ctx.one(), got.abs_precision)
+
+
 def test_norm_exponent():
     ctx = PadicContext(3, 10)
     mu = dirac(-1, ctx, 5).scale(9)
-    assert mu.norm_exponent() == 2
+    assert mu.min_valuation() == 2
 
 
 def test_moment_access_guard():

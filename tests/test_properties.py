@@ -1,0 +1,128 @@
+"""Property tests: every p-adic claim agrees with an exact rational result.
+
+A stored coefficient known mod p^A stands for every rational a with
+v_p(a - stored) >= A, and a finite tail T for any further coefficients of
+valuation >= T.  Each drawn expansion therefore comes with several exact
+ExactMahler lifts, and every result must agree with each lift's exact value
+mod the power it claims.  Coefficient valuations run over -2..3, so the
+p^shift-factored residue path sees negative shifts too.
+"""
+
+import random
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from incgamma.exact import INF, vp
+from incgamma.mahler import ExactMahler, MahlerFn, Tail, convolve
+from incgamma.measure import dirac, integrate
+from incgamma.padic import PadicContext, PadicNumber, congruent
+
+SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+LIFTS = 3
+
+
+@st.composite
+def expansions(draw, ctx):
+    """(stored MahlerFn, LIFTS exact ExactMahler lifts of it)."""
+    p = ctx.p
+    coeffs = []  # (rational q, absolute precision A or None for an exact zero)
+    for _ in range(draw(st.integers(1, 7))):
+        kind = draw(st.sampled_from(("value", "value", "value", "zero", "O")))
+        if kind == "zero":
+            coeffs.append((Fraction(0), None))
+            continue
+        A = draw(st.integers(1, ctx.precision))
+        if kind == "O":
+            coeffs.append((Fraction(0), A))
+            continue
+        v = draw(st.integers(-2, 3))
+        unit = draw(st.integers(1, p ** 4).filter(lambda u: u % p))
+        den = draw(st.sampled_from((1, 1, p + 1, 2 * p - 1)))
+        coeffs.append((Fraction(unit, den) * Fraction(p) ** v, A))
+    T = draw(st.one_of(st.just(INF), st.integers(0, ctx.precision)))
+    stored = MahlerFn(ctx, [ctx.zero() if A is None
+                            else PadicNumber(ctx, A, 0, A) if q == 0
+                            else ctx.number(q, abs_prec=A) for q, A in coeffs],
+                      Tail.exact() if T == INF else Tail(T, True, "drawn"))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    lifts = []
+    for _ in range(LIFTS):
+        exact = [q if A is None else q + Fraction(p) ** A * rng.randint(-p ** 3, p ** 3)
+                 for q, A in coeffs]
+        if T != INF:
+            exact += [Fraction(p) ** T * rng.randint(-p ** 3, p ** 3)
+                      for _ in range(rng.randint(0, 4))]
+        lifts.append(ExactMahler(exact))
+    return stored, lifts
+
+
+def agrees(got: PadicNumber, exact: Fraction, ctx: PadicContext) -> bool:
+    k = got.abs_precision
+    if k == INF:
+        return got.is_exact_zero() and exact == 0
+    return congruent(got, ctx.number(exact, abs_prec=k), k)
+
+
+@st.composite
+def contexts(draw):
+    return PadicContext(draw(st.sampled_from((2, 3, 5))), draw(st.integers(4, 12)))
+
+
+@st.composite
+def points(draw, ctx):
+    """(point as passed to eval or dirac, exact lifts of it)."""
+    p = ctx.p
+    kind = draw(st.sampled_from(("int", "fraction", "padic")))
+    if kind == "int":
+        x = draw(st.integers(-12, 40))
+        return x, [Fraction(x)]
+    if kind == "fraction":
+        den = draw(st.sampled_from((p + 1, 2 * p + 1, 4 * p - 1)))
+        x = Fraction(draw(st.integers(-30, 30)), den)
+        return x, [x]
+    N = draw(st.integers(1, ctx.precision + 4))
+    X = draw(st.integers(0, p ** N - 1))
+    ts = draw(st.lists(st.integers(0, p ** 5), min_size=LIFTS, max_size=LIFTS))
+    return PadicNumber._make(ctx, 0, X, N), [Fraction(X + p ** N * t) for t in ts]
+
+
+@SETTINGS
+@given(st.data())
+def test_eval_agrees_with_every_lift(data):
+    ctx = data.draw(contexts())
+    phi, lifts = data.draw(expansions(ctx))
+    x, xs = data.draw(points(ctx))
+    got = phi.eval(x)
+    for f in lifts:
+        for lift in xs:
+            assert agrees(got, f.eval(lift), ctx), (phi.coeffs, phi.tail, x, lift)
+
+
+@SETTINGS
+@given(st.data())
+def test_convolve_agrees_with_every_lift(data):
+    ctx = data.draw(contexts())
+    a, a_lifts = data.draw(expansions(ctx))
+    b, b_lifts = data.draw(expansions(ctx))
+    c = convolve(a, b)
+    for fa, fb in zip(a_lifts, b_lifts):
+        exact = fa.convolve(fb)
+        for n in range(c.length + 1):
+            assert agrees(c.coeffs[n], exact.coeff(n), ctx), (a.coeffs, b.coeffs, n)
+        for n in range(c.length + 1, exact.length + 1):
+            assert vp(exact.coeff(n), ctx.p) >= c.tail.exponent
+
+
+@SETTINGS
+@given(st.data())
+def test_integrate_against_dirac_is_evaluation(data):
+    ctx = data.draw(contexts())
+    phi, lifts = data.draw(expansions(ctx))
+    x, xs = data.draw(points(ctx))
+    length = data.draw(st.integers(0, phi.length + 3))
+    got = integrate(phi, dirac(x, ctx, length))
+    for f in lifts:
+        for lift in xs:
+            assert agrees(got, f.eval(lift), ctx), (phi.coeffs, phi.tail, x, lift)
+
