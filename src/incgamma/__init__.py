@@ -17,12 +17,11 @@ from .padic import (
     congruent,
     from_rational,
     p_exp,
-    p_log,
     principal_part,
     principal_power,
     teichmuller,
 )
-from .series import TruncSeries, binomial_power, gexp
+from .series import TruncSeries, gexp
 from .mahler import (
     ExactMahler,
     MahlerFn,
@@ -31,20 +30,16 @@ from .mahler import (
     from_gexp,
     gexp_length_for,
     gexp_tail_floor,
-    one_exact,
-    one_fn,
 )
 from .measure import dirac, integrate, mu_psi_x
 from .transform import (
     AmiceElem,
     factorial_length_for,
-    l_transform,
     l_value,
     l_values,
     l_x,
     one_minus_x_pow,
     parts_check,
-    q_function,
     s_transform,
     two_var,
 )
@@ -64,7 +59,6 @@ from .gamma_padic import (
     phi_values_exact,
     poly_gexp,
     psi_tilde,
-    psi_tilde_closed,
     require_unit,
 )
 from .gamma_complex import (
@@ -72,12 +66,9 @@ from .gamma_complex import (
     gammahat,
     gfn,
     lgfn,
-    log_theta,
-    lower_gamma,
     mellin_fe_residual,
     mellin_phi,
     psi_complex,
-    recurrence_check,
     upper_gamma,
 )
 

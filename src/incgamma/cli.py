@@ -26,7 +26,7 @@ from .exact import INF, as_rational
 from .padic import PadicContext, PrecisionError, congruent, principal_part
 from .gamma_padic import (CompatibilityError, PlaceExcludedError, Psi,
                           functional_eq_parts, psi_tilde)
-from .gamma_complex import gfn, mellin_fe_residual, psi_complex
+from .gamma_complex import DEFAULT_QUAD, gfn, mellin_fe_residual, psi_complex
 
 
 def _prec_default() -> int:
@@ -96,8 +96,9 @@ def _cmd_eval(args):
         val = gfn(float(s), float(r))
     else:
         raise ValueError("complex side needs integer s >= 0 when r < 0")
+    claim = f"quad epsabs {DEFAULT_QUAD.epsabs:g}, tail {DEFAULT_QUAD.tail_tol:g}"
     row = {"s": args.s, "side": "complex", "value": repr(float(val)),
-           "precision_claim": f"quad tol {args.tol:g}", "status": "pass"}
+           "precision_claim": claim, "status": "pass"}
     return [row], True, params
 
 

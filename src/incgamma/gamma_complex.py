@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 from scipy.integrate import quad
-from scipy.special import gamma as _gamma_fn
 
 from .gamma_padic import fe_coefficients
 
@@ -36,19 +35,6 @@ class QuadConfig:
 
 
 DEFAULT_QUAD = QuadConfig()
-
-TWO_PI = 2.0 * math.pi
-
-
-def log_theta(z: complex, theta: float = math.pi) -> complex:
-    """The branch of log with imaginary part in (theta - 2 pi, theta]."""
-    z = complex(z)
-    if z == 0:
-        raise ValueError("log of zero")
-    a = cmath.phase(z)
-    k = math.floor((theta - a) / TWO_PI)
-    return complex(math.log(abs(z)), a + TWO_PI * k)
-
 
 def _quad_real(fn, a, b, cfg: QuadConfig) -> float:
     val, _ = quad(fn, a, b, epsabs=cfg.epsabs, epsrel=cfg.epsrel, limit=cfg.limit)
@@ -128,23 +114,17 @@ def lgfn(s, r: float, cfg: QuadConfig = DEFAULT_QUAD):
     return out
 
 
-def gammahat(s):
-    """The complete gamma factor; exact factorials at positive integers."""
-    if isinstance(s, int) or (isinstance(s, float) and s.is_integer()):
-        if s >= 1:
-            return float(math.factorial(int(s) - 1))
-    out = _gamma_fn(s)
-    return complex(out) if isinstance(s, complex) and s.imag != 0 else float(out)
+def gammahat(s: float) -> float:
+    """The complete gamma factor at real s; exact factorials at positive
+    integers."""
+    if float(s).is_integer() and s >= 1:
+        return float(math.factorial(int(s) - 1))
+    return math.gamma(s)
 
 
 def upper_gamma(s, x: float, cfg: QuadConfig = DEFAULT_QUAD):
     """Gamma(s, x) = int_x^inf t^{s-1} e^{-t} dt = e^{-x} gfn(s-1, x), x > 0."""
     return math.exp(-x) * gfn(s - 1, x, cfg)
-
-
-def lower_gamma(s, x: float, cfg: QuadConfig = DEFAULT_QUAD):
-    """gamma(s, x) = int_0^x t^{s-1} e^{-t} dt = e^{-x} lgfn(s-1, x), x != 0."""
-    return math.exp(-x) * lgfn(s - 1, x, cfg)
 
 
 def psi_complex(r: float, m: int, cfg: QuadConfig = DEFAULT_QUAD) -> float:
@@ -164,23 +144,6 @@ def psi_complex(r: float, m: int, cfg: QuadConfig = DEFAULT_QUAD) -> float:
         return float(gfn(m, r, cfg))
     val = -lgfn(m, r, cfg) + math.exp(r) * gammahat(m + 1)
     return float(val.real if isinstance(val, complex) else val)
-
-
-def recurrence_check(s, r: float, cfg: QuadConfig = DEFAULT_QUAD) -> float:
-    """Relative residual of the contiguous relation.
-
-    r > 0:  gfn(s+1, r) - (s+1) gfn(s, r) - r^{s+1}
-    r < 0:  lgfn(s+1, r) - (s+1) lgfn(s, r) + r^{s+1}
-    """
-    r = float(r)
-    if r > 0:
-        hi, lo = gfn(s + 1, r, cfg), gfn(s, r, cfg)
-        res = hi - (s + 1) * lo - complex(r) ** (s + 1)
-    else:
-        hi, lo = lgfn(s + 1, r, cfg), lgfn(s, r, cfg)
-        res = hi - (s + 1) * lo + complex(r) ** (s + 1)
-    scale = max(1.0, abs(hi), abs(lo))
-    return abs(res) / scale
 
 
 def _poly_shift_coeffs(g: list) -> list:

@@ -181,15 +181,6 @@ def psi_tilde(r, m: int) -> Fraction:
     return val
 
 
-def psi_tilde_closed(r, m: int) -> Fraction:
-    """Closed form (m!/r^m) sum_{k<=m} r^k/k! of the same sequence."""
-    r = as_rational(r)
-    if r == 0:
-        raise ValueError("r must be nonzero")
-    s = sum(r ** k / Fraction(math.factorial(k)) for k in range(m + 1))
-    return math.factorial(m) / r ** m * s
-
-
 def Phi(r, s, ctx: PadicContext, target: int | None = None,
         route: str = "direct") -> PadicNumber:
     """L-transform value sum_k (s)_k phi_r(-1 - k) for s in Z_p.
@@ -279,13 +270,12 @@ def compatible_cubic(a, b, c) -> list:
     return [a + b + c, -b / 2 - c, c / 3]
 
 
-def functional_eq_parts(coeffs, s, ctx: PadicContext, target: int | None = None,
-                        length: int | None = None):
+def functional_eq_parts(coeffs, s, ctx: PadicContext, target: int | None = None):
     """Both sides of 1 + s Phi_f(s-1) = sum_m (-1)^m c_m Phi_f(s+m)
     for a polynomial weight f with no constant term, as (lhs, rhs)."""
     if target is None:
         target = ctx.precision
-    phi = poly_gexp(coeffs, ctx, length=length)
+    phi = poly_gexp(coeffs, ctx)
     vals = l_values(phi, factorial_length_for(ctx.p, target))
 
     def value_at(x):
@@ -307,10 +297,10 @@ def functional_eq_parts(coeffs, s, ctx: PadicContext, target: int | None = None,
 
 
 def functional_eq_check(coeffs, s, ctx: PadicContext, target: int | None = None,
-                        k: int | None = None, length: int | None = None) -> bool:
+                        k: int | None = None) -> bool:
     """Whether the two sides of the functional equation agree mod p^k
     (default: the weaker of the two precision claims)."""
-    lhs, rhs = functional_eq_parts(coeffs, s, ctx, target=target, length=length)
+    lhs, rhs = functional_eq_parts(coeffs, s, ctx, target=target)
     if k is None:
         k = min(lhs.abs_precision, rhs.abs_precision)
         if k == INF:

@@ -125,14 +125,8 @@ class ExactMahler:
     def actcorr(self, order: int) -> TruncSeries:
         return TruncSeries([self.eval(n) / math.factorial(n) for n in range(order + 1)])
 
-    @staticmethod
-    def from_prodcorr(s: TruncSeries) -> "ExactMahler":
-        return ExactMahler([s.coeff(n) * math.factorial(n) for n in range(s.order + 1)])
-
-    def to_padic(self, ctx: PadicContext, abs_prec: int | None = None) -> "MahlerFn":
-        return MahlerFn(ctx,
-                        [ctx.number(c, abs_prec=abs_prec) for c in self.coeffs],
-                        Tail.exact())
+    def to_padic(self, ctx: PadicContext) -> "MahlerFn":
+        return MahlerFn(ctx, [ctx.number(c) for c in self.coeffs], Tail.exact())
 
     def __eq__(self, other):
         if not isinstance(other, ExactMahler):
@@ -143,25 +137,26 @@ class ExactMahler:
         return f"ExactMahler({self.coeffs[:6]}{'...' if self.length > 5 else ''})"
 
 
-def one_exact() -> ExactMahler:
-    return ExactMahler([1])
-
-
 class MahlerFn:
     """Mahler expansion with p-adic coefficients and a tail record.
 
     coeffs is an immutable tuple of PadicNumbers a_0..a_K, and tail bounds
     every a_n with n > K.  The same data is a bounded measure read through
     its moments (see measure), so functions and measures share this type.
+    Attribute writes raise, so a cached expansion cannot be changed.
     """
 
     __slots__ = ("ctx", "coeffs", "tail")
 
     def __init__(self, ctx: PadicContext, coeffs, tail: Tail):
-        self.ctx = ctx
-        self.coeffs = tuple(c if isinstance(c, PadicNumber) else ctx.number(as_rational(c))
-                            for c in coeffs) or (ctx.zero(),)
-        self.tail = tail
+        _set_ctx(self, ctx)
+        _set_coeffs(self, tuple(c if isinstance(c, PadicNumber)
+                                else ctx.number(as_rational(c)) for c in coeffs)
+                    or (ctx.zero(),))
+        _set_tail(self, tail)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"MahlerFn is immutable: cannot set {name!r}")
 
     @property
     def length(self) -> int:
@@ -187,12 +182,6 @@ class MahlerFn:
         minimum does not exceed the tail bound (the usual case).  INF means
         certified zero."""
         return self.valuation_beyond(-1)
-
-    def sup_norm(self) -> float:
-        e = self.min_valuation()
-        if e == INF:
-            return 0.0
-        return float(self.ctx.p) ** (-e)
 
     def valuation_beyond(self, m: int):
         """Lower bound for min valuation over indices n > m."""
@@ -287,14 +276,6 @@ class MahlerFn:
         coeffs.append(self.coeffs[K] + unknown)
         return MahlerFn(self.ctx, coeffs, self.tail)
 
-    def nabla(self) -> "MahlerFn":
-        if self.length == 0:
-            if self.tail.exponent == INF:
-                return MahlerFn(self.ctx, [self.ctx.zero()], self.tail)
-            z = PadicNumber(self.ctx, self.tail.exponent, 0, self.tail.exponent)
-            return MahlerFn(self.ctx, [z], self.tail)
-        return MahlerFn(self.ctx, self.coeffs[1:], self.tail)
-
     def scale(self, c) -> "MahlerFn":
         if not isinstance(c, PadicNumber):
             c = self.ctx.number(as_rational(c))
@@ -319,9 +300,9 @@ class MahlerFn:
                 f"tail {kind} >= {t})")
 
 
-def one_fn(ctx: PadicContext) -> MahlerFn:
-    """The constant function 1."""
-    return MahlerFn(ctx, [ctx.number(1)], Tail.exact())
+_set_ctx = MahlerFn.ctx.__set__
+_set_coeffs = MahlerFn.coeffs.__set__
+_set_tail = MahlerFn.tail.__set__
 
 
 def _joint_length(a: MahlerFn, b: MahlerFn, exact: int) -> int:
@@ -344,21 +325,19 @@ def _residues(ctx: PadicContext, numbers, M) -> tuple:
                         for x in numbers]
 
 
-def convolve(a: MahlerFn, b: MahlerFn, length: int | None = None) -> MahlerFn:
+def convolve(a: MahlerFn, b: MahlerFn) -> MahlerFn:
     """Multiplicative convolution: c_n = sum_k binom(n,k) a_k b_{n-k}.
 
     Output length: full support when both tails are exact, otherwise the
-    shortest certain range (or an explicit cap).  With both factors known
-    mod p^M and factored as p^sa, p^sb times residues (sa, sb <= 0), every
-    c_n claims M + min(sa, sb).  The output tail pairs each factor's tail
+    shortest certain range.  With both factors known mod p^M and factored
+    as p^sa, p^sb times residues (sa, sb <= 0), every c_n claims
+    M + min(sa, sb).  The output tail pairs each factor's tail
     beyond index floor(K/2) with the other factor's norm.
     """
     if a.ctx.p != b.ctx.p:
         raise ValueError("mixed primes")
     ctx = a.ctx
     K_out = _joint_length(a, b, a.length + b.length)
-    if length is not None:
-        K_out = min(K_out, length)
     M = min(a._arith_precision(), b._arith_precision())
     if M == INF:
         M = ctx.precision
@@ -384,7 +363,7 @@ def convolve(a: MahlerFn, b: MahlerFn, length: int | None = None) -> MahlerFn:
     return MahlerFn(ctx, coeffs, Tail(texp, certified, "convolution"))
 
 
-def heuristic_tail(ctx: PadicContext, coeffs, guard: int = 5) -> Tail:
+def heuristic_tail(ctx: PadicContext, coeffs) -> Tail:
     """Window evidence: minimum valuation over the last 3p stored
     coefficients, recorded as a heuristic tail."""
     W = 3 * ctx.p
@@ -395,10 +374,10 @@ def heuristic_tail(ctx: PadicContext, coeffs, guard: int = 5) -> Tail:
             continue
         vals.append(c.valuation if c.unit != 0 else c.abs_precision)
     e = min(vals, default=INF)
-    return Tail(e, False, f"window W={len(window)}, guard={guard}")
+    return Tail(e, False, f"window W={len(window)}")
 
 
-def from_gexp(f: TruncSeries, ctx: PadicContext, length: int | None = None,
+def from_gexp(f: TruncSeries, ctx: PadicContext,
               tail_target: int | None = None) -> MahlerFn:
     """The continuous phi with actcorr(phi) = gexp(f), for a rational series f.
 
@@ -413,17 +392,16 @@ def from_gexp(f: TruncSeries, ctx: PadicContext, length: int | None = None,
     p = ctx.p
     if f.order < 1:
         raise ValueError("need at least the linear coefficient of f")
-    K = f.order if length is None else min(length, f.order)
     for n, c in enumerate(f.coeffs):
         if vp(c, p) < 0:
             raise ValueError(f"coefficient {n} is not p-integral: {c}")
     f0 = f.coeff(0)
     _check_gexp_domain(f0, f.coeff(1), p)
     M = ctx.precision
-    g = [f.coeff(1) - 1] + list(f.coeffs[2:K + 1])
+    g = [f.coeff(1) - 1] + f.coeffs[2:]
     head = p_exp(ctx.number(f0)).residue(M) if f0 != 0 else 1
     want = M if tail_target is None else tail_target
-    return _gexp_kernel(ctx, _rational_weights(g, p ** M), K, want, head)
+    return _gexp_kernel(ctx, _rational_weights(g, p ** M), f.order, want, head)
 
 
 def _check_gexp_domain(f0, f1: Fraction, p: int) -> None:

@@ -50,13 +50,12 @@ def dirac(x, ctx: PadicContext, length: int) -> MahlerFn:
     return MahlerFn(ctx, coeffs, Tail(0, True, "binomials are integral"))
 
 
-def mu_psi_x(psi: MahlerFn, x, ctx: PadicContext | None = None,
-             length: int | None = None) -> MahlerFn:
+def mu_psi_x(psi: MahlerFn, x, length: int | None = None) -> MahlerFn:
     """Twisted Dirac: moments binom(x, n) psi(x - n).
 
     Pairing phi against it computes the convolution value (psi * phi)(x).
     """
-    ctx = ctx or psi.ctx
+    ctx = psi.ctx
     if length is None:
         length = psi.length
     base = dirac(x, ctx, length)

@@ -7,10 +7,10 @@ support.  Exact zero is the special case valuation = abs_precision = +inf.
 
 The unit-group structure lives here too: the Teichmuller character (computed
 by iterating x -> x^p to its fixed point), principal parts <u> = u/omega(u),
-powers u^s of principal units by the binomial series, and the exponential and
-logarithm with their convergence domains.  For p = 2 the only root of unity
-of odd order in Q_2 is 1, so omega = 1 and <u> = u on all of Z_2^x; the
-fixed-point iteration converges to exactly that.
+powers u^s of principal units by the binomial series, and the exponential
+with its convergence domain.  For p = 2 the only root of unity of odd order
+in Q_2 is 1, so omega = 1 and <u> = u on all of Z_2^x; the fixed-point
+iteration converges to exactly that.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .exact import INF, as_rational, binom as _binom_exact, digit_count, vp
+from .exact import INF, as_rational, binom as _binom_exact, vp
 
 
 class DivergentSeriesError(ArithmeticError):
@@ -65,15 +65,22 @@ class PadicContext:
 
 
 class PadicNumber:
-    """p^valuation * unit, known modulo p^abs_precision."""
+    """p^valuation * unit, known modulo p^abs_precision.
+
+    Immutable: caches hand out the same objects to every caller, so an
+    attribute write raises instead of changing a cached value.
+    """
 
     __slots__ = ("ctx", "valuation", "unit", "abs_precision")
 
     def __init__(self, ctx: PadicContext, valuation, unit: int, abs_precision):
-        self.ctx = ctx
-        self.valuation = valuation
-        self.unit = unit
-        self.abs_precision = abs_precision
+        _set_ctx(self, ctx)
+        _set_valuation(self, valuation)
+        _set_unit(self, unit)
+        _set_abs_precision(self, abs_precision)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"PadicNumber is immutable: cannot set {name!r}")
 
     # -- construction ------------------------------------------------------
 
@@ -126,20 +133,6 @@ class PadicNumber:
         if self.unit == 0:
             return 0
         return self.residue(self.abs_precision)
-
-    def digits(self, k: int | None = None) -> list[int]:
-        """Base-p digits d_0, d_1, ... of the integer lift (needs v >= 0)."""
-        if k is None:
-            k = self.abs_precision
-            if k == INF:
-                k = self.ctx.precision
-        n = self.residue(k)
-        p = self.ctx.p
-        out = []
-        for _ in range(k):
-            out.append(n % p)
-            n //= p
-        return out
 
     # -- arithmetic --------------------------------------------------------
 
@@ -281,6 +274,12 @@ class PadicNumber:
         return f"{self.unit}*{p}^{self.valuation} + O({p}^{self.abs_precision})"
 
 
+_set_ctx = PadicNumber.ctx.__set__
+_set_valuation = PadicNumber.valuation.__set__
+_set_unit = PadicNumber.unit.__set__
+_set_abs_precision = PadicNumber.abs_precision.__set__
+
+
 def from_rational(q, ctx: PadicContext, abs_prec=None) -> PadicNumber:
     """Image of a rational in Q_p.
 
@@ -414,28 +413,4 @@ def p_exp(x: PadicNumber) -> PadicNumber:
         out = out + term
         n += 1
         term = term * x / n
-    return out
-
-
-def p_log(u: PadicNumber) -> PadicNumber:
-    """log(u) = sum (-1)^(n-1) (u-1)^n / n for v(u - 1) >= 1."""
-    ctx = u.ctx
-    p = ctx.p
-    t = u - 1
-    if t.is_exact_zero():
-        return ctx.zero()
-    vt = t.valuation if t.unit != 0 else t.abs_precision
-    if vt < 1:
-        raise DivergentSeriesError(
-            f"log needs a principal unit, got v(u-1) = {vt}")
-    target = u.abs_precision
-    out = ctx.zero()
-    pw = t
-    n = 1
-    # v(t^n/n) >= n*vt - (digit_count(n)-1), nondecreasing since vt >= 1
-    while n * vt - (digit_count(n, p) - 1) < target:
-        term = pw / n
-        out = (out + term) if n % 2 == 1 else (out - term)
-        n += 1
-        pw = pw * t
     return out

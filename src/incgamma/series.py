@@ -2,18 +2,15 @@
 
 A TruncSeries holds rational coefficients c_0..c_order of a series known
 modulo t^(order+1).  The p-adic pipeline reduces these exact coefficients
-as late as possible (mahler.from_gexp).
-
-binomial_power implements a^y = sum binom(y,k) (a-1)^k for series with
-constant term 1; the reciprocal of a is binomial_power(a, -1).  gexp is the
-exponential of a series with f(0) = 0.
+as late as possible (mahler.from_gexp).  gexp is the exponential of a
+series with f(0) = 0.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact import as_rational, binom as exact_binom
+from .exact import as_rational
 
 
 class TruncSeries:
@@ -46,11 +43,6 @@ class TruncSeries:
 
     def constant(self):
         return self.coeffs[0]
-
-    def truncate(self, order: int) -> "TruncSeries":
-        if order > self.order:
-            raise ValueError("cannot extend a truncated series")
-        return TruncSeries(self.coeffs[:order + 1])
 
     # -- arithmetic --------------------------------------------------------
 
@@ -103,31 +95,6 @@ class TruncSeries:
         head = ", ".join(str(c) for c in self.coeffs[:5])
         tail = ", ..." if self.order > 4 else ""
         return f"TruncSeries[Q]({head}{tail}; order={self.order})"
-
-
-def one(order: int) -> TruncSeries:
-    return TruncSeries([1], order=order)
-
-
-def binomial_power(a: TruncSeries, y) -> TruncSeries:
-    """a^y = sum_k binom(y, k) (a - 1)^k for a series with constant term 1.
-
-    y may be an int or a Fraction; for y = -1 this is the reciprocal of a.
-    """
-    if a.constant() != 1:
-        raise ValueError("binomial_power needs constant term 1")
-    order = a.order
-    y = as_rational(y)
-    u = a - one(order)
-    out = one(order)
-    pw = u
-    for k in range(1, order + 1):
-        c = exact_binom(y, k)
-        if c != 0:
-            out = out + pw.scale(c)
-        if k < order:
-            pw = pw * u
-    return out
 
 
 def _exp_ode(h: TruncSeries) -> TruncSeries:

@@ -11,7 +11,6 @@ sums sum_k (s)_k phi(-1 - k) that drive the interpolation machinery.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import accumulate
 
 from .exact import INF, as_rational, vp, vp_factorial
@@ -31,43 +30,38 @@ def factorial_length_for(p: int, target: int) -> int:
 def one_minus_x_pow(y, ctx: PadicContext, length: int) -> MahlerFn:
     """Convolution power (1 - x)^{*y}: Mahler coefficients (-1)^n (y)_n.
 
-    The falling factorials (y)_n = n! binom(y, n) are integral for y in Z_p,
-    so the discarded coefficients all have valuation >= v_p((length+1)!).
-    For integers 0 <= y <= length the support is finite and the tail exact.
+    (-1)^n (y)_n = prod_(k<n) (k - y) has integer coefficients in y, so mod
+    p^M it depends only on y mod p^M, M = min(ctx.precision, precision of
+    y): one loop runs on that residue and every coefficient claims O(p^M).
+    The falling factorials (y)_n = n! binom(y, n) are integral for y in
+    Z_p, so the discarded coefficients all have valuation >=
+    v_p((length+1)!).  For integers 0 <= y <= length the terms past y are
+    exact zeros and the tail is exact.
     """
+    p, M = ctx.p, ctx.precision
+    exact = False
     if isinstance(y, PadicNumber):
         if not y.is_exact_zero() and y.valuation < 0:
             raise ValueError("exponent must lie in Z_p")
-        coeffs = [ctx.one()]
-        c = ctx.one()
-        for n in range(1, length + 1):
-            c = c * (ctx.number(n - 1) - y)
-            coeffs.append(c)
-        return MahlerFn(ctx, coeffs,
-                        Tail(vp_factorial(length + 1, ctx.p), True, "factorial decay"))
-    y = as_rational(y)
-    if vp(y, ctx.p) < 0:
-        raise ValueError("exponent must lie in Z_p")
-    coeffs = [Fraction(1)]
-    c = Fraction(1)
-    for n in range(1, length + 1):
-        c = c * (n - 1 - y)
-        coeffs.append(c)
-    if y.denominator == 1 and 0 <= y <= length:
+        M = min(M, y.abs_precision)
+        Y = y.residue(M)
+    else:
+        y = as_rational(y)
+        if vp(y, p) < 0:
+            raise ValueError("exponent must lie in Z_p")
+        Y = y.numerator * pow(y.denominator, -1, p ** M)
+        exact = y.denominator == 1 and 0 <= y <= length
+    top = y.numerator if exact else length
+    mod = p ** M
+    coeffs = []
+    c = 1
+    for n in range(length + 1):
+        coeffs.append(PadicNumber._make(ctx, 0, c, M) if n <= top else ctx.zero())
+        c = c * (n - Y) % mod
+    if exact:
         return MahlerFn(ctx, coeffs, Tail.exact())
     return MahlerFn(ctx, coeffs,
-                    Tail(vp_factorial(length + 1, ctx.p), True, "factorial decay"))
-
-
-def q_function(ctx: PadicContext, length: int) -> MahlerFn:
-    """Mahler coefficients n!: the convolution inverse of 1 - x."""
-    coeffs = []
-    f = 1
-    for n in range(length + 1):
-        coeffs.append(ctx.number(f))
-        f *= n + 1
-    return MahlerFn(ctx, coeffs,
-                    Tail(vp_factorial(length + 1, ctx.p), True, "factorial decay"))
+                    Tail(vp_factorial(length + 1, p), True, "factorial decay"))
 
 
 def s_transform(phi: MahlerFn, y, length: int | None = None) -> MahlerFn:
@@ -132,11 +126,6 @@ def l_x(phi: MahlerFn, x, length: int | None = None) -> MahlerFn:
     return MahlerFn(ctx, coeffs, Tail(texp, phi.tail.certified, "factorial decay"))
 
 
-def l_transform(phi: MahlerFn, length: int | None = None) -> MahlerFn:
-    """The x = -1 slice of l_x: Mahler coefficients k! phi(-1 - k)."""
-    return l_x(phi, Fraction(-1), length)
-
-
 @dataclass(frozen=True)
 class LValues:
     """phi(-1 - k) = p^shift * residues[k] + O(p^claim) for k = 0..K.
@@ -188,7 +177,7 @@ def _as_lvalues(ctx: PadicContext, values: list, norm) -> LValues:
 
 def l_value(phi: MahlerFn | None, s, target: int | None = None,
             values: LValues | list | None = None) -> PadicNumber:
-    """sum_k (s)_k phi(-1 - k) for k <= K: l_transform(phi) evaluated at s directly.
+    """sum_k (s)_k phi(-1 - k) for k <= K: l_x(phi, -1) evaluated at s directly.
 
     K is the least length with v_p((K+1)!) >= target.  values caches the
     phi(-1 - k) across calls: an LValues record from l_values (phi may then
@@ -238,7 +227,7 @@ class AmiceElem:
     """Finite combination sum_n c_n (x - 1)^{*n} of convolution powers.
 
     Negative n is allowed since 1 - x is invertible for the convolution
-    (its inverse is the factorial function q).  On the coefficient-series
+    (its inverse has Mahler coefficients n!).  On the coefficient-series
     side these are Laurent polynomials in t - 1, and the derivation D
     below matches d/dt there.
     """
@@ -269,18 +258,16 @@ class AmiceElem:
             out = out.add(one_minus_x_pow(n, self.ctx, length).scale(c))
         return out
 
-    def star(self, phi: MahlerFn, length: int | None = None) -> MahlerFn:
+    def star(self, phi: MahlerFn) -> MahlerFn:
         """Convolve this element's expansion against phi."""
-        if length is None:
-            length = factorial_length_for(self.ctx.p, 2 * self.ctx.precision)
+        length = factorial_length_for(self.ctx.p, 2 * self.ctx.precision)
         return convolve(self.to_mahler(length), phi)
 
     def __repr__(self):
         return f"AmiceElem(p={self.ctx.p}, support={self.support()})"
 
 
-def parts_check(psi: AmiceElem, phi: MahlerFn, x, k: int | None = None,
-                length: int | None = None) -> bool:
+def parts_check(psi: AmiceElem, phi: MahlerFn, x, k: int | None = None) -> bool:
     """Integration by parts for the Dirac pairing:
 
         int (psi * sigma phi) d delta_x
@@ -290,10 +277,10 @@ def parts_check(psi: AmiceElem, phi: MahlerFn, x, k: int | None = None,
     to the weaker of the two precision claims).
     """
     ctx = phi.ctx
-    left_fn = psi.star(phi.shift(), length)
+    left_fn = psi.star(phi.shift())
     lhs = integrate(left_fn, dirac(x, ctx, left_fn.length))
-    a = psi.star(phi, length)
-    b = psi.d().star(phi, length)
+    a = psi.star(phi)
+    b = psi.d().star(phi)
     xp = x + 1
     rhs = integrate(a, dirac(xp, ctx, a.length)) - integrate(b, dirac(x, ctx, b.length))
     if k is None:

@@ -46,9 +46,11 @@ def test_eval_padic(capsys):
 
 def test_eval_complex(capsys):
     code, doc = run_json(capsys, "eval", "--side", "complex", "--r", "1",
-                         "--s", "4")
+                         "--s", "4", "--tol", "1e-3")
     assert code == 0
     assert abs(float(doc["rows"][0]["value"]) - 65.0) < 1e-8
+    # --tol does not reach quad: the claim names the tolerances that ran
+    assert doc["rows"][0]["precision_claim"] == "quad epsabs 1e-12, tail 1e-13"
 
 
 def test_eval_padic_needs_p(capsys):

@@ -1,4 +1,3 @@
-import cmath
 import math
 import random
 from fractions import Fraction
@@ -7,8 +6,7 @@ import pytest
 from scipy.special import gamma as sp_gamma, gammainc, gammaincc
 
 from incgamma.gamma_complex import (QuadConfig, gammahat, gfn, lgfn,
-                                    log_theta, lower_gamma, mellin_fe_residual,
-                                    mellin_phi, psi_complex, recurrence_check,
+                                    mellin_fe_residual, mellin_phi, psi_complex,
                                     upper_gamma)
 from incgamma.gamma_padic import compatible_cubic, psi_tilde
 
@@ -58,7 +56,8 @@ def test_lgfn_frozen():
 
 
 def test_lower_gamma_frozen():
-    assert abs(lower_gamma(1, -1.0) - (1.0 - math.e)) <= 1e-10
+    # gamma(1, -1) = e lgfn(0, -1) = 1 - e
+    assert abs(math.e * lgfn(0, -1.0) - (1.0 - math.e)) <= 1e-10
 
 
 def test_lower_gamma_against_scipy():
@@ -67,8 +66,9 @@ def test_lower_gamma_against_scipy():
     for _ in range(10):
         s = 0.1 + 0.8 * rng.random()
         x = 0.2 + 3.0 * rng.random()
+        # gamma(s, x) = e^{-x} lgfn(s - 1, x)
         want = float(gammainc(s, x) * sp_gamma(s))
-        assert rel_err(lower_gamma(s, x), want) <= 1e-8
+        assert rel_err(math.exp(-x) * lgfn(s - 1, x), want) <= 1e-8
 
 
 def test_lgfn_domain():
@@ -107,16 +107,26 @@ def test_psi_complex_guards():
         psi_complex(1.0, -2)
 
 
+def recurrence_residual(s, r):
+    """Relative residual of the contiguous relations
+    gfn(s+1, r) - (s+1) gfn(s, r) = r^{s+1}          (r > 0)
+    lgfn(s+1, r) - (s+1) lgfn(s, r) = -r^{s+1}       (r < 0)."""
+    fn, sign = (gfn, 1) if r > 0 else (lgfn, -1)
+    hi, lo = fn(s + 1, r), fn(s, r)
+    res = hi - (s + 1) * lo - sign * complex(r) ** (s + 1)
+    return abs(res) / max(1.0, abs(hi), abs(lo))
+
+
 def test_recurrence_residuals():
     for s, r in ((0.3, 0.5), (2.5, 3.0), (0.0, 1.0)):
-        assert recurrence_check(s, r) <= 1e-9
+        assert recurrence_residual(s, r) <= 1e-9
     for s, r in ((0.2, -1.0), (1.5, -0.5)):
-        assert recurrence_check(s, r) <= 1e-9
+        assert recurrence_residual(s, r) <= 1e-9
 
 
 def test_recurrence_complex_s():
-    assert recurrence_check(complex(1.0, 2.0), 2.0) <= 1e-9
-    assert recurrence_check(complex(0.5, -1.0), -1.0) <= 1e-9
+    assert recurrence_residual(complex(1.0, 2.0), 2.0) <= 1e-9
+    assert recurrence_residual(complex(0.5, -1.0), -1.0) <= 1e-9
 
 
 def test_gfn_complex_matches_real_on_axis():
@@ -124,16 +134,6 @@ def test_gfn_complex_matches_real_on_axis():
     assert isinstance(a, complex)
     b = gfn(1.5, 2.0)
     assert abs(gfn(complex(1.5, 0.0), 2.0) - b) <= 1e-10
-
-
-def test_log_theta_branches():
-    assert abs(log_theta(-1.0) - complex(0, math.pi)) <= 1e-15
-    assert abs(log_theta(-1.0, theta=0.0) - complex(0, -math.pi)) <= 1e-15
-    got = log_theta(1j, theta=-math.pi / 2)
-    assert abs(got - complex(0, -1.5 * math.pi)) <= 1e-15
-    assert abs(cmath.exp(log_theta(2.0 - 3.0j)) - (2.0 - 3.0j)) <= 1e-12
-    with pytest.raises(ValueError):
-        log_theta(0)
 
 
 def test_mellin_phi_linear_weight_is_gfn():

@@ -10,11 +10,11 @@ from incgamma.gamma_padic import (CompatibilityError, GammaValue,
                                   compatible_cubic, f_r_series,
                                   fe_coefficients, functional_eq_check,
                                   gamma_p, phi_fr, phi_values_exact,
-                                  poly_gexp, psi_tilde, psi_tilde_closed,
-                                  require_unit)
-from incgamma.mahler import from_gexp
+                                  poly_gexp, psi_tilde, require_unit)
+from incgamma.exact import binom
+from incgamma.mahler import Tail, from_gexp, gexp_length_for
 from incgamma.padic import PadicContext, congruent, p_exp, principal_part
-from incgamma.series import TruncSeries, binomial_power, gexp
+from incgamma.series import TruncSeries, gexp
 from incgamma.transform import s_transform
 
 
@@ -25,13 +25,11 @@ def test_f_r_series_frozen():
 
 
 def test_f_r_derivative_is_binomial_power():
-    # f_r'(t) = (1-t)^(1/r - 1)
+    # f_r'(t) = (1-t)^c = sum_k (-1)^k binom(c, k) t^k with c = 1/r - 1
     for r in (Fraction(2), Fraction(5, 3), Fraction(-2)):
         f = f_r_series(r, 9)
-        lhs = f.derivative()
-        rhs = binomial_power(TruncSeries([Fraction(1), Fraction(-1)] + [Fraction(0)] * 7),
-                             1 / r - 1)
-        assert lhs.coeffs == rhs.coeffs
+        c = 1 / r - 1
+        assert f.derivative().coeffs == [(-1) ** k * binom(c, k) for k in range(9)]
 
 
 def test_phi_values_exact_frozen():
@@ -100,6 +98,20 @@ def test_phi_fr_hands_out_copies():
     assert Phi(2, 5, ctx) == before
 
 
+def test_cached_values_reject_attribute_writes():
+    # an attribute write on a cached coefficient used to turn this value
+    # into 18864 + O(3^10)
+    ctx = PadicContext(3, 10)
+    L = 2 * gexp_length_for(3, 10)
+    phi = phi_fr(2, ctx, length=L, tail_target=10)
+    with pytest.raises(AttributeError):
+        phi.coeffs[0].unit = 2
+    with pytest.raises(AttributeError):
+        phi.tail = Tail.exact()
+    val = Phi(2, 5, ctx, route="dirac")
+    assert (val.lift(), val.abs_precision) == (18538, 10)
+
+
 def test_caches_stay_bounded():
     ctx = PadicContext(5, 4)
     rs = [Fraction(5 * a + 1, 7) for a in range(200)]
@@ -134,7 +146,10 @@ def test_psi_tilde_closed_form():
     for _ in range(20):
         r = Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 9))
         m = rng.randint(0, 12)
-        assert psi_tilde(r, m) == psi_tilde_closed(r, m)
+        # (m!/r^m) sum_{k<=m} r^k/k!
+        closed = math.factorial(m) / r ** m * sum(r ** k / math.factorial(k)
+                                                  for k in range(m + 1))
+        assert psi_tilde(r, m) == closed
 
 
 def test_psi_tilde_guards():

@@ -11,7 +11,6 @@ from incgamma.padic import (
     congruent,
     from_rational,
     p_exp,
-    p_log,
     principal_part,
     principal_power,
     teichmuller,
@@ -203,23 +202,6 @@ def test_p_exp_domain():
     with pytest.raises(DivergentSeriesError):
         p_exp(ctx2.number(2))  # p = 2 needs v >= 2
     p_exp(ctx2.number(4))
-
-
-def test_p_log_domain():
-    ctx = PadicContext(5, 8)
-    with pytest.raises(DivergentSeriesError):
-        p_log(ctx.number(2))
-
-
-def test_exp_log_roundtrip():
-    for p in (3, 5, 2):
-        ctx = PadicContext(p, 15)
-        v0 = 2 if p == 2 else 1
-        rng = random.Random(p + 100)
-        for _ in range(15):
-            a = p ** v0 * rng.randint(1, 400)
-            x = ctx.number(a)
-            assert congruent(p_log(p_exp(x)), x, 13)
 
 
 def test_exp_additivity():

@@ -13,10 +13,11 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from incgamma.exact import INF, vp
+from incgamma.exact import INF, falling, vp
 from incgamma.mahler import ExactMahler, MahlerFn, Tail, convolve
 from incgamma.measure import dirac, integrate
 from incgamma.padic import PadicContext, PadicNumber, congruent
+from incgamma.transform import one_minus_x_pow
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 LIFTS = 3
@@ -125,4 +126,45 @@ def test_integrate_against_dirac_is_evaluation(data):
     for f in lifts:
         for lift in xs:
             assert agrees(got, f.eval(lift), ctx), (phi.coeffs, phi.tail, x, lift)
+
+
+@st.composite
+def exponents(draw, ctx):
+    """(exponent as passed to one_minus_x_pow, exact lifts of it, its precision)."""
+    p = ctx.p
+    kind = draw(st.sampled_from(("int", "fraction", "padic")))
+    if kind == "int":
+        y = draw(st.integers(-20, 40))
+        return y, [Fraction(y)], INF
+    if kind == "fraction":
+        den = draw(st.sampled_from((p + 1, 2 * p + 1, 4 * p - 1)))
+        y = Fraction(draw(st.integers(-60, 60)), den)
+        return y, [y], INF
+    N = draw(st.integers(0, ctx.precision + 4))
+    Y = draw(st.integers(0, p ** N - 1))
+    ts = draw(st.lists(st.integers(-p ** 5, p ** 5), min_size=LIFTS, max_size=LIFTS))
+    return PadicNumber._make(ctx, 0, Y, N), [Fraction(Y + p ** N * t) for t in ts], N
+
+
+@SETTINGS
+@given(st.data())
+def test_one_minus_x_pow_agrees_with_every_lift(data):
+    ctx = data.draw(contexts())
+    y, ys, N = data.draw(exponents(ctx))
+    length = data.draw(st.integers(0, 30))
+    g = one_minus_x_pow(y, ctx, length)
+    finite = (not isinstance(y, PadicNumber) and ys[0].denominator == 1
+              and 0 <= ys[0] <= length)
+    assert g.length == length
+    assert (g.tail == Tail.exact()) == finite
+    for n, c in enumerate(g.coeffs):
+        if finite and n > ys[0]:
+            assert c.is_exact_zero()
+        else:
+            assert c.abs_precision <= min(ctx.precision, N)
+        for lift in ys:
+            assert agrees(c, (-1) ** n * falling(lift, n), ctx), (y, n, lift)
+    for lift in ys:
+        for n in range(length + 1, length + 4):
+            assert vp(falling(lift, n), ctx.p) >= g.tail.exponent
 

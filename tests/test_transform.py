@@ -1,15 +1,21 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from incgamma.exact import falling
+from incgamma.exact import falling, vp_factorial
 from incgamma.gamma_padic import phi_fr
-from incgamma.mahler import ExactMahler, MahlerFn, Tail, one_fn
+from incgamma.mahler import ExactMahler, MahlerFn, Tail, convolve
 from incgamma.padic import PadicContext, PadicNumber, congruent
-from incgamma.transform import (AmiceElem, factorial_length_for, l_transform,
-                                l_value, l_values, l_x, one_minus_x_pow, parts_check,
-                                q_function, s_transform, two_var)
+from incgamma.transform import (AmiceElem, factorial_length_for, l_value, l_values,
+                                l_x, one_minus_x_pow, parts_check, s_transform,
+                                two_var)
+
+
+def one_fn(ctx):
+    """The constant function 1."""
+    return MahlerFn(ctx, [1], Tail.exact())
 
 
 def rand_fn(rng, ctx, support=5):
@@ -18,7 +24,6 @@ def rand_fn(rng, ctx, support=5):
 
 
 def test_factorial_length_for():
-    from incgamma.exact import vp_factorial
     for p in (2, 3, 7):
         for target in (1, 5, 23):
             K = factorial_length_for(p, target)
@@ -51,9 +56,8 @@ def test_one_minus_x_pow_matches_exact_convolution_powers():
 def test_one_minus_x_pow_negative_one_is_q():
     ctx = PadicContext(3, 12)
     g = one_minus_x_pow(-1, ctx, 8)
-    q = q_function(ctx, 8)
     for n in range(9):
-        assert congruent(g.coeff(n), q.coeff(n), 12)
+        assert congruent(g.coeff(n), ctx.number(math.factorial(n)), 12)
 
 
 def test_one_minus_x_pow_fractional_coeffs():
@@ -171,8 +175,9 @@ def test_two_var_rejects_outside_zp():
 
 def test_q_star_one_minus_x_is_one():
     ctx = PadicContext(3, 24)
-    from incgamma.mahler import convolve
-    q = q_function(ctx, 60)
+    # Mahler coefficients n!, the convolution inverse of 1 - x
+    q = MahlerFn(ctx, [math.factorial(n) for n in range(61)],
+                 Tail(vp_factorial(61, 3), True, "factorial decay"))
     prod = convolve(q, one_minus_x_pow(1, ctx, 1))
     assert congruent(prod.coeff(0), ctx.one(), 20)
     for n in range(1, prod.length + 1):
@@ -181,10 +186,9 @@ def test_q_star_one_minus_x_is_one():
 
 def test_l_of_one_is_q():
     ctx = PadicContext(5, 20)
-    lt = l_transform(one_fn(ctx), length=12)
-    q = q_function(ctx, 12)
+    lt = l_x(one_fn(ctx), -1, length=12)
     for k in range(13):
-        assert congruent(lt.coeff(k), q.coeff(k), 18)
+        assert congruent(lt.coeff(k), ctx.number(math.factorial(k)), 18)
 
 
 def test_l_x_matches_two_var():
@@ -203,7 +207,7 @@ def test_l_value_matches_l_transform_eval():
     rng = random.Random(68)
     ctx = PadicContext(5, 20)
     f = rand_fn(rng, ctx)
-    lt = l_transform(f, length=factorial_length_for(5, 16))
+    lt = l_x(f, -1, length=factorial_length_for(5, 16))
     for s in (0, 3, -2, Fraction(1, 2)):
         assert congruent(l_value(f, s, target=16), lt.eval(s), 14)
 
@@ -306,7 +310,7 @@ def test_amice_star_against_direct_sum():
     rng = random.Random(69)
     ctx = PadicContext(3, 20)
     f = ExactMahler([rng.randint(-9, 9) for _ in range(5)])
-    g = AmiceElem(ctx, {1: 1}).star(f.to_padic(ctx), length=40)
+    g = AmiceElem(ctx, {1: 1}).star(f.to_padic(ctx))
     for x in range(-4, 5):
         want = sum(f.coeff(n) * Fraction(x - n - 1) *
                    [1, x, x * (x - 1) // 2, x * (x - 1) * (x - 2) // 6,
