@@ -99,8 +99,7 @@ def vp_factorial(n: int, p: int) -> int:
     """vp(n!) = (n - digit_sum(n, p)) / (p - 1)   (Legendre)."""
     if n < 0:
         raise ValueError("vp_factorial needs n >= 0")
-    _check_prime(p)
-    return (n - digit_sum(n, p)) // (p - 1)
+    return (n - digit_sum(n, p)) // (p - 1)  # digit_sum checks that p is prime
 
 
 def digit_count(n: int, p: int) -> int:

@@ -18,8 +18,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-
-from scipy.integrate import quad
+from functools import cache
 
 from .gamma_padic import fe_coefficients
 
@@ -35,6 +34,18 @@ class QuadConfig:
 
 
 DEFAULT_QUAD = QuadConfig()
+
+
+@cache  # an import statement on every quad call costs about 1 us
+def _scipy_quad():
+    from scipy.integrate import quad as scipy_quad
+    return scipy_quad
+
+
+def quad(fn, a, b, **kwargs):
+    """scipy's quad, imported on the first call: only this lane loads scipy."""
+    return _scipy_quad()(fn, a, b, **kwargs)
+
 
 def _quad_real(fn, a, b, cfg: QuadConfig) -> float:
     val, _ = quad(fn, a, b, epsabs=cfg.epsabs, epsrel=cfg.epsrel, limit=cfg.limit)

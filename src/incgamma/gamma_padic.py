@@ -89,8 +89,8 @@ def phi_values_exact(r, count: int) -> list:
 # _phi_cache maps (r, p, length, precision, tail target) to a MahlerFn that
 # phi_fr hands out as it is: its coefficients are a tuple, so no caller can
 # change the cached expansion.  _value_cache maps (r, p, precision),
-# which fix phi_fr's default length, to the immutable LValues record of
-# that expansion, so a warm Phi never builds phi_r at all.
+# which fix phi_fr's default length, to <r> and the immutable LValues
+# record of that expansion, so a warm Psi never builds phi_r or <r>.
 _CACHE_SIZE = 32
 _phi_cache: OrderedDict = OrderedDict()
 _value_cache: OrderedDict = OrderedDict()
@@ -197,11 +197,11 @@ def Phi(r, s, ctx: PadicContext, target: int | None = None,
     if route == "direct":
         K = factorial_length_for(ctx.p, target)
         key = (r, ctx.p, ctx.precision)
-        vals = _cache_get(_value_cache, key)
-        if vals is None or len(vals.residues) <= K:
-            vals = l_values(phi_fr(r, ctx), K)
-            _cache_put(_value_cache, key, vals)
-        return l_value(None, s, target=target, values=vals)
+        hit = _cache_get(_value_cache, key)
+        if hit is None or len(hit[1].residues) <= K:
+            hit = (principal_part(ctx.number(r)), l_values(phi_fr(r, ctx), K))
+            _cache_put(_value_cache, key, hit)
+        return l_value(None, s, target=target, values=hit[1])
     if route == "dirac":
         L = 2 * gexp_length_for(ctx.p, target)
         phi = phi_fr(r, ctx, length=L, tail_target=target)
@@ -216,13 +216,15 @@ def Psi(r, s, ctx: PadicContext, target: int | None = None,
     """<r>^s Phi((s+1)/r - 1): the continuous interpolation of
     <r>^m psi_tilde(m)."""
     r = require_unit(r, ctx.p)
-    pr = principal_part(ctx.number(r))
     if isinstance(s, PadicNumber):
         sprime = (s + ctx.one()) / ctx.number(r) - ctx.one()
     else:
         s = as_rational(s)
         sprime = (s + 1) / r - 1
-    return principal_power(pr, s) * Phi(r, sprime, ctx, target=target, route=route)
+    value = Phi(r, sprime, ctx, target=target, route=route)
+    hit = _cache_get(_value_cache, (r, ctx.p, ctx.precision))
+    pr = hit[0] if hit is not None else principal_part(ctx.number(r))
+    return principal_power(pr, s) * value
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ support.  Exact zero is the special case valuation = abs_precision = +inf.
 
 The unit-group structure lives here too: the Teichmuller character (computed
 by iterating x -> x^p to its fixed point), principal parts <u> = u/omega(u),
-powers u^s of principal units by the binomial series, and the exponential
+powers u^s of principal units as one modular power, and the exponential
 with its convergence domain.  For p = 2 the only root of unity of odd order
 in Q_2 is 1, so omega = 1 and <u> = u on all of Z_2^x; the fixed-point
 iteration converges to exactly that.
@@ -15,10 +15,9 @@ iteration converges to exactly that.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
-from .exact import INF, as_rational, binom as _binom_exact, vp
+from .exact import INF, as_rational, vp
 
 
 class DivergentSeriesError(ArithmeticError):
@@ -34,15 +33,21 @@ class PadicContext:
 
     precision is the number of p-adic digits of absolute precision that
     embeddings of exact rationals receive by default (values of positive
-    valuation keep their full integral part on top of that).
+    valuation keep their full integral part on top of that).  Immutable,
+    since cache keys and cached values hold the context.
     """
+
+    __slots__ = ("p", "precision")
 
     def __init__(self, p: int, precision: int = 28):
         vp(1, p)  # primality check
         if precision < 1:
             raise ValueError("precision must be >= 1")
-        self.p = p
-        self.precision = precision
+        PadicContext.p.__set__(self, p)
+        PadicContext.precision.__set__(self, precision)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"PadicContext is immutable: cannot set {name!r}")
 
     def __repr__(self):
         return f"PadicContext(p={self.p}, precision={self.precision})"
@@ -348,43 +353,41 @@ def principal_part(u: PadicNumber) -> PadicNumber:
     return u * teichmuller(u).inverse()
 
 
-def principal_power(u: PadicNumber, s) -> PadicNumber:
-    """u^s for a principal unit u and s in Z_p, via sum binom(s,j)(u-1)^j.
+def zp_residue(s, ctx: PadicContext, k: int):
+    """(S, n) with s == S mod p^n and n = min(k, precision of s), for s in
+    Z_p: an int, a Fraction with p-free denominator (S is the numerator
+    times the inverse of the denominator) or a PadicNumber of valuation
+    >= 0.  Anything else raises ValueError."""
+    if isinstance(s, PadicNumber):
+        if s.valuation < 0:
+            raise ValueError("exponent must lie in Z_p")
+        n = min(k, s.abs_precision)
+        return s.residue(n), n
+    s = as_rational(s)
+    if vp(s, ctx.p) < 0:
+        raise ValueError("exponent must lie in Z_p")
+    mod = ctx.p ** k
+    return s.numerator * pow(s.denominator, -1, mod) % mod, k
 
-    The series converges whenever v(u - 1) >= 1 (including p = 2: the terms
-    carry |binom(s, j)| <= 1).  s may be an int, a Fraction with p-free
-    denominator, or a PadicNumber of valuation >= 0.
+
+def principal_power(u: PadicNumber, s) -> PadicNumber:
+    """u^s for a principal unit u and s in Z_p, as one modular power.
+
+    With e = v(u - 1) >= 1, u^(p^k) == 1 mod p^(e+k), so u^s mod p^A
+    depends only on s mod p^(A-e): it is pow(lift(u), S, p^A) for the
+    residue S of zp_residue.  A PadicNumber s known mod p^N caps the claim
+    at N + e.
     """
     ctx = u.ctx
     t = u - 1
     if t.is_exact_zero():
         return ctx.number(1, abs_prec=u.abs_precision - u.valuation)
-    if t.valuation < 1:
+    e = t.valuation
+    if e < 1:
         raise DivergentSeriesError(
-            f"principal_power needs a principal unit, got v(u-1) = {t.valuation}")
-    target = u.abs_precision
-    exact_s = not isinstance(s, PadicNumber)
-    if exact_s:
-        s = as_rational(s)
-        if vp(s, ctx.p) < 0:
-            raise ValueError("exponent must lie in Z_p")
-    elif s.valuation < 0:
-        raise ValueError("exponent must lie in Z_p")
-    out = ctx.number(1, abs_prec=target)
-    pw = t            # (u-1)^j
-    fall = None       # (s)_j for the PadicNumber path
-    j = 1
-    while pw.unit != 0 and pw.valuation < target:
-        if exact_s:
-            coeff = _binom_exact(s, j)
-            if coeff != 0:
-                out = out + pw * coeff
-        else:
-            fall = s if fall is None else fall * (s - (j - 1))
-            out = out + pw * fall * Fraction(1, math.factorial(j))
-        j += 1
-        pw = pw * t
-    return out
+            f"principal_power needs a principal unit, got v(u-1) = {e}")
+    S, n = zp_residue(s, ctx, u.abs_precision - e)
+    return PadicNumber._make(ctx, 0, pow(u.lift(), S, ctx.p ** (n + e)), n + e)
 
 
 def _exp_domain_valuation(p: int) -> int:

@@ -11,14 +11,16 @@ sums sum_k (s)_k phi(-1 - k) that drive the interpolation machinery.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate
 
-from .exact import INF, as_rational, vp, vp_factorial
-from .padic import PadicContext, PadicNumber, congruent
+from .exact import INF, as_rational, vp_factorial
+from .padic import PadicContext, PadicNumber, congruent, zp_residue
 from .mahler import MahlerFn, Tail, _residues, convolve
 from .measure import dirac, integrate
 
 
+@lru_cache(maxsize=256)  # a warm Psi neither searches nor re-checks p
 def factorial_length_for(p: int, target: int) -> int:
     """Smallest K with v_p((K+1)!) >= target."""
     K = max(0, (p - 1) * target - 1)
@@ -38,20 +40,11 @@ def one_minus_x_pow(y, ctx: PadicContext, length: int) -> MahlerFn:
     v_p((length+1)!).  For integers 0 <= y <= length the terms past y are
     exact zeros and the tail is exact.
     """
-    p, M = ctx.p, ctx.precision
-    exact = False
-    if isinstance(y, PadicNumber):
-        if not y.is_exact_zero() and y.valuation < 0:
-            raise ValueError("exponent must lie in Z_p")
-        M = min(M, y.abs_precision)
-        Y = y.residue(M)
-    else:
-        y = as_rational(y)
-        if vp(y, p) < 0:
-            raise ValueError("exponent must lie in Z_p")
-        Y = y.numerator * pow(y.denominator, -1, p ** M)
-        exact = y.denominator == 1 and 0 <= y <= length
-    top = y.numerator if exact else length
+    p = ctx.p
+    Y, M = zp_residue(y, ctx, ctx.precision)
+    q = None if isinstance(y, PadicNumber) else as_rational(y)
+    exact = q is not None and q.denominator == 1 and 0 <= q <= length
+    top = q.numerator if exact else length
     mod = p ** M
     coeffs = []
     c = 1
@@ -198,23 +191,13 @@ def l_value(phi: MahlerFn | None, s, target: int | None = None,
     elif not isinstance(values, LValues):
         values = _as_lvalues(ctx, values, phi.min_valuation())
     claim = min(values.claim, ctx.precision + values.shift)
-    if isinstance(s, PadicNumber):
-        if not s.is_exact_zero() and s.valuation < 0:
-            raise ValueError("s must lie in Z_p")
-        claim = min(claim, s.abs_precision + values.shift)
-    else:
-        s = as_rational(s)
-        if vp(s, p) < 0:
-            raise ValueError("s must lie in Z_p")
-    if len(values.residues) <= K:
-        raise ValueError(f"need {K + 1} cached values, got {len(values.residues)}")
     if values.norm != INF:
         claim = min(claim, vp_factorial(K + 1, p) + values.norm)
-    mod = p ** max(0, claim - values.shift)
-    if isinstance(s, PadicNumber):
-        S = s.residue(claim - values.shift) if claim > values.shift else 0
-    else:
-        S = s.numerator * pow(s.denominator, -1, mod) % mod
+    S, n = zp_residue(s, ctx, max(0, claim - values.shift))
+    claim = min(claim, n + values.shift)
+    if len(values.residues) <= K:
+        raise ValueError(f"need {K + 1} cached values, got {len(values.residues)}")
+    mod = p ** n
     acc = 0
     fall = 1  # (s)_k mod p^(claim - shift)
     for k, v in enumerate(values.residues[:K + 1]):

@@ -112,6 +112,21 @@ def test_cached_values_reject_attribute_writes():
     assert (val.lift(), val.abs_precision) == (18538, 10)
 
 
+def test_context_rejects_attribute_writes():
+    # a write of ctx.precision after phi_fr(2, ctx) used to turn the next
+    # Phi(2, 5, PadicContext(3, 10)) into 70 + O(3^5)
+    ctx = PadicContext(3, 10)
+    phi_fr(2, ctx)
+    with pytest.raises(AttributeError):
+        ctx.precision = 5
+    with pytest.raises(AttributeError):
+        ctx.p = 5
+    assert ctx == PadicContext(3, 10)
+    val = Phi(2, 5, PadicContext(3, 10))  # (5 + 1)/2 - 1 = 2: psi_tilde(11)
+    assert val.abs_precision == 10
+    assert congruent(val, ctx.number(psi_tilde(2, 11)), 10)
+
+
 def test_caches_stay_bounded():
     ctx = PadicContext(5, 4)
     rs = [Fraction(5 * a + 1, 7) for a in range(200)]

@@ -5,7 +5,8 @@ v_p(a - stored) >= A, and a finite tail T for any further coefficients of
 valuation >= T.  Each drawn expansion therefore comes with several exact
 ExactMahler lifts, and every result must agree with each lift's exact value
 mod the power it claims.  Coefficient valuations run over -2..3, so the
-p^shift-factored residue path sees negative shifts too.
+p^shift-factored residue path sees negative shifts too.  principal_power
+and teichmuller are held to plain pow on the integer lifts of their inputs.
 """
 
 import random
@@ -16,7 +17,8 @@ from hypothesis import given, settings, strategies as st
 from incgamma.exact import INF, falling, vp
 from incgamma.mahler import ExactMahler, MahlerFn, Tail, convolve
 from incgamma.measure import dirac, integrate
-from incgamma.padic import PadicContext, PadicNumber, congruent
+from incgamma.padic import (PadicContext, PadicNumber, congruent, principal_part,
+                            principal_power, teichmuller)
 from incgamma.transform import one_minus_x_pow
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -168,3 +170,81 @@ def test_one_minus_x_pow_agrees_with_every_lift(data):
         for n in range(length + 1, length + 4):
             assert vp(falling(lift, n), ctx.p) >= g.tail.exponent
 
+
+@st.composite
+def principal_units(draw):
+    """(principal unit u, e = v(u - 1)): a drawn 1 + p^e t, the principal
+    part of a rational, or r in (3, 5, 7/3) at p = 2, where e is 1 or 2."""
+    ctx = draw(contexts())
+    p, A = ctx.p, draw(st.integers(1, 30))
+    kind = draw(st.sampled_from(("drawn", "drawn", "rational", "two")))
+    if kind == "two":
+        u = PadicContext(2, A).number(draw(st.sampled_from((3, 5, Fraction(7, 3)))))
+    elif kind == "rational":
+        num = draw(st.integers(1, 10 ** 4).filter(lambda n: n % p))
+        den = draw(st.integers(1, 50).filter(lambda d: d % p))
+        u = principal_part(ctx.number(Fraction(num, den), abs_prec=A))
+    else:
+        e = draw(st.integers(1, A))
+        u = PadicNumber._make(ctx, 0, 1 + p ** e * draw(st.integers(0, p ** A)), A)
+    return u, (u - 1).valuation
+
+
+def power_mod(u: PadicNumber, s: int, k: int) -> int:
+    return pow(u.lift(), s, u.ctx.p ** k)
+
+
+@SETTINGS
+@given(st.data())
+def test_principal_power_int_is_modular_power(data):
+    u, _ = data.draw(principal_units())
+    p, A = u.ctx.p, u.abs_precision
+    s = data.draw(st.integers(-p ** (A + 2), p ** (A + 2)))
+    got = principal_power(u, s)
+    assert got.abs_precision <= A
+    assert got.lift() == power_mod(u, s, got.abs_precision), (u, s)
+
+
+@SETTINGS
+@given(st.data())
+def test_principal_power_fraction_is_a_root(data):
+    u, _ = data.draw(principal_units())
+    p = u.ctx.p
+    a = data.draw(st.integers(-10 ** 4, 10 ** 4))
+    b = data.draw(st.integers(1, 99).filter(lambda d: d % p))
+    got = principal_power(u, Fraction(a, b))
+    k = got.abs_precision
+    assert k <= u.abs_precision
+    assert pow(got.lift(), b, p ** k) == power_mod(u, a, k), (u, a, b)
+
+
+@SETTINGS
+@given(st.data())
+def test_principal_power_padic_agrees_with_every_lift(data):
+    u, e = data.draw(principal_units())
+    p, A = u.ctx.p, u.abs_precision
+    N = data.draw(st.integers(0, A + 5))
+    X = data.draw(st.integers(0, p ** N - 1))
+    s = PadicNumber._make(u.ctx, 0, X, N)
+    got = principal_power(u, s)
+    k = got.abs_precision
+    assert k <= min(A, N + e)
+    for t in data.draw(st.lists(st.integers(-p ** 5, p ** 5), min_size=LIFTS,
+                                max_size=LIFTS)):
+        lift = X + p ** N * t
+        assert got.lift() == power_mod(u, lift, k), (u, s, lift)
+
+
+@SETTINGS
+@given(st.data())
+def test_teichmuller_is_the_root_of_unity_over_u(data):
+    ctx = data.draw(contexts())
+    p = ctx.p
+    num = data.draw(st.integers(-10 ** 4, 10 ** 4).filter(lambda n: n % p))
+    den = data.draw(st.integers(1, 50).filter(lambda d: d % p))
+    u = ctx.number(Fraction(num, den), abs_prec=data.draw(st.integers(1, 30)))
+    w = teichmuller(u)
+    k = w.abs_precision
+    assert k == u.abs_precision
+    assert pow(w.lift(), p - 1, p ** k) == 1 % p ** k
+    assert w.lift() % p == u.lift() % p
