@@ -232,6 +232,9 @@ def main(argv=None) -> int:
             ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except OverflowError as exc:
+        print(f"error: complex side out of double range: {exc}", file=sys.stderr)
+        return 2
     doc = {"command": args.command, "params": params, "rows": rows, "pass": ok}
     _emit(doc, args.format, sys.stdout)
     return 0 if ok else 1

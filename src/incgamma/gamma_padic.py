@@ -17,9 +17,9 @@ Everything here needs r to be a p-adic unit; other places are excluded.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .exact import INF, as_rational, binom, vp
 from .padic import (PadicContext, PadicNumber, congruent, principal_part,
@@ -85,31 +85,6 @@ def phi_values_exact(r, count: int) -> list:
     return vals
 
 
-# Least-recently-used caches of at most _CACHE_SIZE entries each.
-# _phi_cache maps (r, p, length, precision, tail target) to a MahlerFn that
-# phi_fr hands out as it is: its coefficients are a tuple, so no caller can
-# change the cached expansion.  _value_cache maps (r, p, precision),
-# which fix phi_fr's default length, to <r> and the immutable LValues
-# record of that expansion, so a warm Psi never builds phi_r or <r>.
-_CACHE_SIZE = 32
-_phi_cache: OrderedDict = OrderedDict()
-_value_cache: OrderedDict = OrderedDict()
-
-
-def _cache_get(cache: OrderedDict, key):
-    hit = cache.get(key)
-    if hit is not None:
-        cache.move_to_end(key)
-    return hit
-
-
-def _cache_put(cache: OrderedDict, key, value) -> None:
-    cache[key] = value
-    cache.move_to_end(key)
-    while len(cache) > _CACHE_SIZE:
-        cache.popitem(last=False)
-
-
 def phi_fr(r, ctx: PadicContext, length: int | None = None,
            tail_target: int | None = None) -> MahlerFn:
     """The weight phi_r as a p-adic expansion with a certified tail.
@@ -118,18 +93,22 @@ def phi_fr(r, ctx: PadicContext, length: int | None = None,
     with G_1 = 1, G_(k+1) = -G_k (B - kA), so the gexp kernel weights of
     f_r - t are w_1 = 0 and w_k = G_k A^-(k-1), with only the unit A ever
     inverted.  Default sizing picks the shortest length whose gexp
-    certificate reaches the context precision; results are cached per
-    (r, p, length, precision, tail target), and a hit returns the cached
-    expansion itself, whose coefficient tuple cannot be changed.
+    certificate reaches the context precision.  Expansions come from
+    _phi_expansion, an LRU cache keyed by (r, ctx, length, tail target); a
+    hit returns the cached expansion itself, which is immutable.
     """
     r = require_unit(r, ctx.p)
     want = ctx.precision if tail_target is None else tail_target
     if length is None:
         length = gexp_length_for(ctx.p, want)
-    key = (r, ctx.p, length, ctx.precision, want)
-    hit = _cache_get(_phi_cache, key)
-    if hit is not None:
-        return hit
+    return _phi_expansion(r, ctx, length, want)
+
+
+# Bounded LRUs that hand out immutable values, so no caller can change a
+# cached one; cache_info() counts hits and misses.  The bookkeeping is
+# thread-safe, but two threads missing on one key may both build the value.
+@lru_cache(maxsize=32)
+def _phi_expansion(r: Fraction, ctx: PadicContext, length: int, want: int) -> MahlerFn:
     A, B = r.numerator, r.denominator
     mod = ctx.p ** ctx.precision
     Ainv = pow(A, -1, mod)
@@ -139,9 +118,14 @@ def phi_fr(r, ctx: PadicContext, length: int | None = None,
         G = -G * (B - k * A) % mod
         scale = scale * Ainv % mod
         weights.append(G * scale % mod)
-    fn = _gexp_kernel(ctx, weights, length, want)
-    _cache_put(_phi_cache, key, fn)
-    return fn
+    return _gexp_kernel(ctx, weights, length, want)
+
+
+@lru_cache(maxsize=32)
+def _twist_and_lvalues(r: Fraction, ctx: PadicContext, K: int) -> tuple:
+    """(<r>, the LValues of phi_r's default expansion through index K):
+    everything a warm Phi or Psi reads."""
+    return principal_part(ctx.number(r)), l_values(phi_fr(r, ctx), K)
 
 
 def poly_gexp(coeffs, ctx: PadicContext, length: int | None = None,
@@ -195,13 +179,8 @@ def Phi(r, s, ctx: PadicContext, target: int | None = None,
     if target is None:
         target = ctx.precision
     if route == "direct":
-        K = factorial_length_for(ctx.p, target)
-        key = (r, ctx.p, ctx.precision)
-        hit = _cache_get(_value_cache, key)
-        if hit is None or len(hit[1].residues) <= K:
-            hit = (principal_part(ctx.number(r)), l_values(phi_fr(r, ctx), K))
-            _cache_put(_value_cache, key, hit)
-        return l_value(None, s, target=target, values=hit[1])
+        values = _twist_and_lvalues(r, ctx, factorial_length_for(ctx.p, target))[1]
+        return l_value(None, s, target=target, values=values)
     if route == "dirac":
         L = 2 * gexp_length_for(ctx.p, target)
         phi = phi_fr(r, ctx, length=L, tail_target=target)
@@ -216,15 +195,10 @@ def Psi(r, s, ctx: PadicContext, target: int | None = None,
     """<r>^s Phi((s+1)/r - 1): the continuous interpolation of
     <r>^m psi_tilde(m)."""
     r = require_unit(r, ctx.p)
-    if isinstance(s, PadicNumber):
-        sprime = (s + ctx.one()) / ctx.number(r) - ctx.one()
-    else:
-        s = as_rational(s)
-        sprime = (s + 1) / r - 1
-    value = Phi(r, sprime, ctx, target=target, route=route)
-    hit = _cache_get(_value_cache, (r, ctx.p, ctx.precision))
-    pr = hit[0] if hit is not None else principal_part(ctx.number(r))
-    return principal_power(pr, s) * value
+    s = s if isinstance(s, PadicNumber) else as_rational(s)
+    value = Phi(r, (s + 1) / r - 1, ctx, target=target, route=route)
+    K = factorial_length_for(ctx.p, ctx.precision if target is None else target)
+    return principal_power(_twist_and_lvalues(r, ctx, K)[0], s) * value
 
 
 @dataclass(frozen=True)
@@ -247,11 +221,8 @@ def gamma_p(r, s, ctx: PadicContext, target: int | None = None,
             route: str = "direct") -> GammaValue:
     """The incomplete gamma value at the finite place: E(-r) Psi(s - 1)."""
     r = require_unit(r, ctx.p)
-    if isinstance(s, PadicNumber):
-        sm = s - ctx.one()
-    else:
-        sm = as_rational(s) - 1
-    return GammaValue(-r, Psi(r, sm, ctx, target=target, route=route))
+    s = s if isinstance(s, PadicNumber) else as_rational(s)
+    return GammaValue(-r, Psi(r, s - 1, ctx, target=target, route=route))
 
 
 def fe_coefficients(coeffs) -> list:
@@ -283,18 +254,13 @@ def functional_eq_parts(coeffs, s, ctx: PadicContext, target: int | None = None)
     def value_at(x):
         return l_value(phi, x, target=target, values=vals)
 
-    if isinstance(s, PadicNumber):
-        lhs = ctx.one() + s * value_at(s - ctx.one())
-        args = [s + ctx.number(m) for m in range(len(coeffs))]
-    else:
-        s = as_rational(s)
-        lhs = ctx.one() + ctx.number(s) * value_at(s - 1)
-        args = [s + m for m in range(len(coeffs))]
+    s = s if isinstance(s, PadicNumber) else as_rational(s)
+    lhs = ctx.one() + s * value_at(s - 1)
     rhs = ctx.zero()
     for m, c in enumerate(fe_coefficients(coeffs)):
         if c:
             sign = c if m % 2 == 0 else -c
-            rhs = rhs + ctx.number(sign) * value_at(args[m])
+            rhs = rhs + ctx.number(sign) * value_at(s + m)
     return lhs, rhs
 
 

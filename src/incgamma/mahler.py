@@ -6,7 +6,9 @@ bounding every coefficient beyond K; the measures of measure are the same
 data, read as moments.  Every sum over the coefficients (evaluation,
 convolution, the L-values of transform) runs on plain ints: _residues
 factors p^shift out of the coefficients, shift = min(0, lowest valuation),
-and the result is PadicNumber._make(ctx, shift, total, claim).
+and the result is PadicNumber._make(ctx, shift, total, claim).  Every
+evaluation point takes the one int loop: a PadicNumber at its integer
+lift, a non-integer Fraction at an integer lift of enough digits.
 ExactMahler is the finitely-supported rational counterpart used wherever
 exactness matters (oracles, the correspondence checks, small building
 blocks); it reduces into a MahlerFn with an exact tail.
@@ -36,7 +38,7 @@ from fractions import Fraction
 from operator import mul
 
 from .exact import INF, as_rational, digit_count, vp
-from .padic import PadicContext, PadicNumber, p_exp
+from .padic import PadicContext, PadicNumber, p_exp, zp_residue
 from .series import TruncSeries
 
 
@@ -220,7 +222,12 @@ class MahlerFn:
             M = ctx.precision
         if x.denominator == 1:
             return self._eval_int_mod(x.numerator, M)
-        return self._eval_rational_mod(x, M)
+        # X == x mod p^N gives binom(X, n) == binom(x, n) mod p^(N - floor(log_p
+        # n)), at least p^(M - shift) for every stored n; adding p^N puts X
+        # above the stored length, so every term enters
+        N = M - min(0, self.min_valuation()) + digit_count(self.length + 1, ctx.p)
+        X, _ = zp_residue(x, ctx, N)
+        return self._eval_int_mod(X + ctx.p ** N, M)
 
     def _point_claim(self, N: int):
         """Claim of phi(x) for x known only mod p^N.
@@ -248,16 +255,6 @@ class MahlerFn:
             b = b * (X - n) // (n + 1)
         claim = M if 0 <= X <= self.length else min(M, self.tail.exponent)
         return PadicNumber._make(self.ctx, shift, acc % mod, claim)
-
-    def _eval_rational_mod(self, x: Fraction, M) -> PadicNumber:
-        shift, mod, res = _residues(self.ctx, self.coeffs, M)
-        acc = 0
-        b = Fraction(1)
-        for n, c in enumerate(res):
-            if c and b:
-                acc += c * (b.numerator * pow(b.denominator, -1, mod))
-            b = b * (x - n) / (n + 1)
-        return PadicNumber._make(self.ctx, shift, acc % mod, min(M, self.tail.exponent))
 
     # -- shift algebra -----------------------------------------------------
 

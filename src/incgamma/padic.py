@@ -239,21 +239,17 @@ class PadicNumber:
         return other * self.inverse()
 
     def __pow__(self, n: int):
+        """x^n for any integer n: valuation n*v and the relative precision
+        of x, as the products and the inverse would claim."""
         if not isinstance(n, int):
             return NotImplemented
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = self.ctx.number(1, abs_prec=(
-            self.abs_precision - self.valuation if self.abs_precision != INF
-            else self.ctx.precision))
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
+        if n < 0 and self.unit == 0:
+            raise ZeroDivisionError("negative power of a value indistinguishable from zero")
+        if self.is_exact_zero():
+            return self if n else self.ctx.one()
+        rel = self.abs_precision - self.valuation
+        v = n * self.valuation
+        return PadicNumber._make(self.ctx, v, pow(self.unit, n, self.ctx.p ** rel), v + rel)
 
     # -- comparisons -------------------------------------------------------
 
@@ -379,10 +375,7 @@ def principal_power(u: PadicNumber, s) -> PadicNumber:
     at N + e.
     """
     ctx = u.ctx
-    t = u - 1
-    if t.is_exact_zero():
-        return ctx.number(1, abs_prec=u.abs_precision - u.valuation)
-    e = t.valuation
+    e = (u - 1).valuation
     if e < 1:
         raise DivergentSeriesError(
             f"principal_power needs a principal unit, got v(u-1) = {e}")

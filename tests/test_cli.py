@@ -164,3 +164,16 @@ def test_negative_counts_are_usage_errors(capsys, argv):
     assert exc.value.code == 2
     assert captured.out == ""
     assert "error: argument --" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ("interp-check", "--r", "1/2", "--complex", "--m-max", "120"),
+    ("eval", "--side", "complex", "--r", "1/2", "--s", "150"),
+])
+def test_complex_overflow_is_a_domain_error(capsys, argv):
+    # these overflowed in a traceback with exit 1
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: complex side out of double range")

@@ -129,15 +129,23 @@ def test_context_rejects_attribute_writes():
 
 def test_caches_stay_bounded():
     ctx = PadicContext(5, 4)
+    caches = (gamma_padic._phi_expansion, gamma_padic._twist_and_lvalues)
     rs = [Fraction(5 * a + 1, 7) for a in range(200)]
-    assert len(rs) > gamma_padic._CACHE_SIZE
+    assert all(len(rs) > cache.cache_info().maxsize for cache in caches)
     first = Phi(rs[0], 3, ctx)
     for r in rs:
         Phi(r, 3, ctx)
         phi_fr(r, ctx, length=20)
-        assert len(gamma_padic._phi_cache) <= gamma_padic._CACHE_SIZE
-        assert len(gamma_padic._value_cache) <= gamma_padic._CACHE_SIZE
+        for cache in caches:
+            info = cache.cache_info()
+            assert info.currsize <= info.maxsize
     assert Phi(rs[0], 3, ctx) == first  # evicted, then rebuilt alike
+    Psi(rs[0], 3, ctx)
+    before = gamma_padic._twist_and_lvalues.cache_info()
+    Psi(rs[0], 3, ctx)
+    after = gamma_padic._twist_and_lvalues.cache_info()
+    assert after.misses == before.misses
+    assert after.hits > before.hits
 
 
 def test_sigma_shift_relation():

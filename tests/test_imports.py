@@ -1,15 +1,19 @@
-"""Every module-level import in the package is used by its module, and
-only the archimedean lane loads scipy.
+"""Every module-level import in the package is used by its module, every
+private function is referred to elsewhere, and only the archimedean lane
+loads scipy.
 
-A stdlib ast check: a name bound by a top-level import must appear as a
-name (or the root of an attribute chain) somewhere else in the module.
+Stdlib ast checks: a name bound by a top-level import must appear as a
+name (or the root of an attribute chain) somewhere else in the module;
 __init__.py is left out, since its imports are the package's re-exports.
+A private function or method (_name, not a dunder) must be named, as a
+name or an attribute, somewhere in the package outside its own body.
 """
 
 import ast
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -41,6 +45,38 @@ def test_checker_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_level_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def mentions(node) -> Counter:
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def unreferenced_private_functions(sources: dict) -> list:
+    """name:line entries of private functions that no code outside their own
+    body refers to, over the modules of sources (name -> source text)."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    total = sum((mentions(tree) for tree in trees.values()), Counter())
+    out = []
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and node.name.startswith("_") and not node.name.endswith("__")
+                    and total[node.name] == mentions(node)[node.name]):
+                out.append(f"{name}:{node.lineno}: {node.name}")
+    return sorted(out)
+
+
+def test_checker_flags_an_unreferenced_private_function():
+    sources = {"a": "def _f():\n    return _f()\n\ndef _g():\n    pass\n",
+               "b": "class C:\n    def _h(self):\n        pass\n\n    def __init__(self):\n"
+                    "        pass\n\nimport a\na._g()\n"}
+    assert unreferenced_private_functions(sources) == ["a:1: _f", "b:2: _h"]
+
+
+def test_every_private_function_is_referenced():
+    sources = {path.name: path.read_text() for path in PACKAGE.glob("*.py")}
+    assert unreferenced_private_functions(sources) == []
 
 
 SCIPY_GUARD = """

@@ -159,6 +159,16 @@ def test_principal_power_p2():
         assert congruent(principal_power(u, s), u ** s, 14)
 
 
+def test_principal_power_of_one():
+    # 1 - 1 is O(p^prec), not an exact zero, so e = prec and every exponent
+    # gives 1 at the precision of one
+    for p, prec in ((2, 8), (3, 10), (7, 5)):
+        ctx = PadicContext(p, prec)
+        for s in (0, 5, -3, Fraction(2, 5), ctx.number(4)):
+            got = principal_power(ctx.one(), s)
+            assert (got.valuation, got.unit, got.abs_precision) == (0, 1, prec)
+
+
 def test_principal_power_rejects_non_principal():
     ctx = PadicContext(5, 10)
     with pytest.raises(DivergentSeriesError):

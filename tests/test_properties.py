@@ -6,12 +6,16 @@ valuation >= T.  Each drawn expansion therefore comes with several exact
 ExactMahler lifts, and every result must agree with each lift's exact value
 mod the power it claims.  Coefficient valuations run over -2..3, so the
 p^shift-factored residue path sees negative shifts too.  principal_power
-and teichmuller are held to plain pow on the integer lifts of their inputs.
+and teichmuller are held to plain pow on the integer lifts of their inputs,
+and PadicNumber arithmetic to Fraction arithmetic on the lifts of its
+operands.
 """
 
+import operator
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from incgamma.exact import INF, falling, vp
@@ -81,8 +85,8 @@ def points(draw, ctx):
         x = draw(st.integers(-12, 40))
         return x, [Fraction(x)]
     if kind == "fraction":
-        den = draw(st.sampled_from((p + 1, 2 * p + 1, 4 * p - 1)))
-        x = Fraction(draw(st.integers(-30, 30)), den)
+        den = draw(st.sampled_from((p + 1, 2 * p + 1, 4 * p - 1, (p + 1) ** 3)))
+        x = Fraction(draw(st.integers(-30, 30).filter(lambda a: a % den)), den)
         return x, [x]
     N = draw(st.integers(1, ctx.precision + 4))
     X = draw(st.integers(0, p ** N - 1))
@@ -248,3 +252,66 @@ def test_teichmuller_is_the_root_of_unity_over_u(data):
     assert k == u.abs_precision
     assert pow(w.lift(), p - 1, p ** k) == 1 % p ** k
     assert w.lift() % p == u.lift() % p
+
+
+@st.composite
+def numbers(draw, ctx):
+    """(PadicNumber, LIFTS exact rationals it stands for): a value of
+    valuation -2..3 known to a drawn precision, an O(p^A) with no digit
+    known, or the exact zero."""
+    p = ctx.p
+    kind = draw(st.sampled_from(("value", "value", "value", "O", "zero")))
+    if kind == "zero":
+        return ctx.zero(), [Fraction(0)] * LIFTS
+    if kind == "O":
+        q, A = Fraction(0), draw(st.integers(-2, ctx.precision))
+        x = PadicNumber._make(ctx, A, 0, A)
+    else:
+        v = draw(st.integers(-2, 3))
+        unit = draw(st.integers(1, p ** 4).filter(lambda u: u % p))
+        q = Fraction(unit, draw(st.sampled_from((1, p + 1, 2 * p - 1)))) * Fraction(p) ** v
+        A = draw(st.integers(v + 1, v + ctx.precision))
+        x = ctx.number(q, abs_prec=A)
+    ts = draw(st.lists(st.integers(-p ** 3, p ** 3), min_size=LIFTS, max_size=LIFTS))
+    return x, [q + Fraction(p) ** A * t for t in ts]
+
+
+def is_zero_like(x) -> bool:
+    return x.unit == 0 if isinstance(x, PadicNumber) else x == 0
+
+
+@SETTINGS
+@given(st.data())
+def test_arithmetic_agrees_with_every_lift(data):
+    ctx = data.draw(contexts())
+    a, a_lifts = data.draw(numbers(ctx))
+    if data.draw(st.booleans()):
+        b, b_lifts = data.draw(numbers(ctx))
+    else:  # a plain rational, coerced by the PadicNumber operand
+        b = Fraction(data.draw(st.integers(-50, 50)), data.draw(st.sampled_from((1, 2, 9, 25))))
+        b_lifts = [b] * LIFTS
+    ops = (operator.add, operator.sub, operator.mul, operator.truediv)
+    for x, y, xs, ys in ((a, b, a_lifts, b_lifts), (b, a, b_lifts, a_lifts)):
+        for op in ops:
+            if op is operator.truediv and is_zero_like(y):
+                with pytest.raises(ZeroDivisionError):
+                    op(x, y)
+                continue
+            got = op(x, y)
+            for lx, ly in zip(xs, ys):
+                assert agrees(got, op(lx, ly), ctx), (x, y, op.__name__, lx, ly)
+
+
+@SETTINGS
+@given(st.data())
+def test_power_agrees_with_every_lift(data):
+    ctx = data.draw(contexts())
+    x, lifts = data.draw(numbers(ctx))
+    n = data.draw(st.integers(-6, 9))
+    if n < 0 and x.unit == 0:
+        with pytest.raises(ZeroDivisionError):
+            x ** n
+        return
+    got = x ** n
+    for lift in lifts:
+        assert agrees(got, lift ** n, ctx), (x, n, lift)
