@@ -8,9 +8,11 @@ Standardized forms used throughout:
 At integer s = m these produce r^m psi_tilde(m), the same rational
 sequence the finite places interpolate; psi_complex packages the two
 orientations (r > 0 through gfn, r < 0 through lgfn and the complete
-factor).  All quadrature runs on a truncated interval whose discarded
-tail is bounded explicitly before integrating, so the reported tolerance
-is honest rather than hopeful.
+factor).  gfn, lgfn and mellin_phi share one quadrature, _contour, which
+runs in log scale: every value inside double range is reachable, and one
+beyond it raises OverflowError.  Each semi-infinite contour is cut where
+an explicit bound puts the discarded tail below tail_tol, so the reported
+tolerance is honest rather than hopeful.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ from .gamma_padic import fe_coefficients
 
 @dataclass(frozen=True)
 class QuadConfig:
-    """Quadrature knobs; tail_tol is the cut bound, kept below epsabs."""
+    """Quadrature knobs; tail_tol is the cut bound, kept below epsabs.
+    epsabs applies to the integrand scaled to peak 1."""
 
     epsabs: float = 1e-12
     epsrel: float = 1e-12
@@ -47,27 +50,48 @@ def quad(fn, a, b, **kwargs):
     return _scipy_quad()(fn, a, b, **kwargs)
 
 
-def _quad_real(fn, a, b, cfg: QuadConfig) -> float:
-    val, _ = quad(fn, a, b, epsabs=cfg.epsabs, epsrel=cfg.epsrel, limit=cfg.limit)
-    return val
+def _contour(s, f, a: float, b: float, cfg: QuadConfig, r: float = 1.0):
+    """r^{s+1} int_a^b (1-x)^s e^{f(x)} dx for real f, r > 0 and b <= 1.
 
-
-def _quad_complex(fn, a, b, cfg: QuadConfig) -> complex:
-    re = _quad_real(lambda x: fn(x).real, a, b, cfg)
-    im = _quad_real(lambda x: fn(x).imag, a, b, cfg)
-    return complex(re, im)
-
-
-def _gfn_cut(a: float, r: float, tol: float) -> float:
-    """X <= 0 with int_{-inf}^X (1-x)^a e^{rx} dx <= (2/r)(1-X)^a e^{rX} <= tol.
-
-    The closed bound needs 1 - X >= max(1, 2a/r), which the start point
-    guarantees; after that the exponential drives the loop down quickly.
+    The integrand is exp(s log1p(-x) + f(x) - peak), peak the largest real
+    exponent on a grid over [a, b] packed towards b; e^peak r^{Re s + 1}
+    goes back on in log scale, raising OverflowError past double range.
+    Non-real s integrates the real and imaginary parts apart, r^{i Im s}
+    inside.
     """
-    X = min(-1.0, 1.0 - max(1.0, 2.0 * a / r))
-    while (2.0 / r) * (1.0 - X) ** a * math.exp(r * X) > tol:
-        X -= max(1.0, 1.0 / r)
-    return X
+    sr, si = float(s.real), float(s.imag)
+    top = math.nextafter(b, a)  # (1-x)^s may be singular at b = 1
+    peak = max(sr * math.log1p(-x) + f(x)
+               for x in (top - (top - a) * (j / 16) ** 2 for j in range(17)))
+    opts = {"epsabs": cfg.epsabs, "epsrel": cfg.epsrel, "limit": cfg.limit}
+    if si == 0:
+        val = quad(lambda x: math.exp(sr * math.log1p(-x) + f(x) - peak), a, b, **opts)[0]
+    else:
+        c = complex(-peak, si * math.log(r))  # a shared inner def costs a call per point
+        re = quad(lambda x: cmath.exp(s * math.log1p(-x) + f(x) + c).real, a, b, **opts)[0]
+        im = quad(lambda x: cmath.exp(s * math.log1p(-x) + f(x) + c).imag, a, b, **opts)[0]
+        val = complex(re, im)
+    mag = abs(val)
+    if mag == 0:
+        return val
+    return val / mag * math.exp(peak + (sr + 1.0) * math.log(r) + math.log(mag))
+
+
+def _cut(a: float, lam: float, t: float, log_tol: float) -> float:
+    """Some t' >= t with log((2/lam) t'^a e^{-lam t'}) <= log_tol.
+
+    Past 2a/lam the log bound is concave and decreasing, so Newton aimed
+    half a unit below log_tol is a valid cut from its first step on and
+    stops within a factor e of the target.  a < 0 counts as 0 (t' >= 1).
+    """
+    a = max(a, 0.0)
+    t = start = max(t, 2.0 * a / lam)
+    for _ in range(64):
+        g = math.log(2.0 / lam) + a * math.log(t) - lam * t - log_tol
+        if g <= 0 and (g > -1 or t == start):
+            break
+        t -= (g + 0.5) / (a / t - lam)
+    return t
 
 
 def gfn(s, r: float, cfg: QuadConfig = DEFAULT_QUAD):
@@ -75,20 +99,14 @@ def gfn(s, r: float, cfg: QuadConfig = DEFAULT_QUAD):
 
     Returns a float for real s, complex otherwise.  At s = m this is
     r^m psi_tilde(m); the complete limit is gammahat through
-    Gamma(s, x) = e^{-x} gfn(s-1, x).
+    Gamma(s, x) = e^{-x} gfn(s-1, x).  The tail past the cut X <= -1 is
+    at most (2/r)(1-X)^a e^{rX} (a = Re s) once 1 - X >= 2a/r.
     """
     r = float(r)
     if r <= 0:
         raise ValueError("gfn needs r > 0; use lgfn/psi_complex below zero")
-    if isinstance(s, complex) and s.imag != 0:
-        a = s.real
-        X = _gfn_cut(a, r, cfg.tail_tol)
-        val = _quad_complex(lambda x: cmath.exp(s * math.log1p(-x) + r * x), X, 0.0, cfg)
-        return cmath.exp((s + 1) * math.log(r)) * val
-    a = float(s.real if isinstance(s, complex) else s)
-    X = _gfn_cut(a, r, cfg.tail_tol)
-    val = _quad_real(lambda x: (1.0 - x) ** a * math.exp(r * x), X, 0.0, cfg)
-    return r ** (a + 1) * val
+    X = 1.0 - _cut(float(s.real), r, 2.0, math.log(cfg.tail_tol) - r)
+    return _contour(s, lambda x: r * x, X, 0.0, cfg, r)
 
 
 def lgfn(s, r: float, cfg: QuadConfig = DEFAULT_QUAD):
@@ -100,29 +118,25 @@ def lgfn(s, r: float, cfg: QuadConfig = DEFAULT_QUAD):
         int_0^1 (1-x)^s e^{rx} dx = (1/(1+s)) int_0^1 e^{r(1 - u^{1/(1+s)})} du.
 
     Non-real s below the axis strip is rejected rather than integrated
-    against a singular endpoint.
+    against a singular endpoint.  r < 0 takes the principal r^{s+1}.
     """
     r = float(r)
     if r == 0:
         raise ValueError("r must be nonzero")
-    if isinstance(s, complex) and s.imag != 0:
-        if s.real < 0:
-            raise ValueError("non-real s needs Re s >= 0 here")
-        val = _quad_complex(lambda x: cmath.exp(s * math.log1p(-x) + r * x), 0.0, 1.0, cfg)
-        return complex(r) ** (s + 1) * val
-    a = float(s.real if isinstance(s, complex) else s)
+    a = float(s.real)
+    if s.imag != 0 and a < 0:
+        raise ValueError("non-real s needs Re s >= 0 here")
     if a <= -1:
         raise ValueError("need Re s > -1")
     if a >= 0:
-        val = _quad_real(lambda x: (1.0 - x) ** a * math.exp(r * x), 0.0, 1.0, cfg)
-    else:
+        val = _contour(s, lambda x: r * x, 0.0, 1.0, cfg, abs(r))
+    else:  # at s = 0 the helper's r^{s+1} carries |r|^{1+a}/(1+a)
         e = 1.0 / (1.0 + a)
-        val = _quad_real(lambda u: math.exp(r * (1.0 - u ** e)), 0.0, 1.0, cfg) / (1.0 + a)
-    pref = complex(r) ** (a + 1) if r < 0 else r ** (a + 1)
-    out = pref * val
-    if isinstance(out, complex) and out.imag == 0:
-        return out.real
-    return out
+        val = _contour(0.0, lambda u: r * (1.0 - u ** e), 0.0, 1.0, cfg, abs(r) ** (1.0 + a) * e)
+    if r > 0:
+        return val
+    out = complex(-1.0) ** (s + 1) * val
+    return out.real if out.imag == 0 else out
 
 
 def gammahat(s: float) -> float:
@@ -153,8 +167,7 @@ def psi_complex(r: float, m: int, cfg: QuadConfig = DEFAULT_QUAD) -> float:
         raise ValueError("m must be a nonnegative integer")
     if r > 0:
         return float(gfn(m, r, cfg))
-    val = -lgfn(m, r, cfg) + math.exp(r) * gammahat(m + 1)
-    return float(val.real if isinstance(val, complex) else val)
+    return float((-lgfn(m, r, cfg) + math.exp(r) * gammahat(m + 1)).real)
 
 
 def _poly_shift_coeffs(g: list) -> list:
@@ -167,13 +180,19 @@ def _poly_shift_coeffs(g: list) -> list:
     return beta
 
 
-def _mellin_cut(beta: list, a: float, tol: float) -> float:
-    """T with int_T^inf t^a e^{P(t)} dt <= (2/lam) T^a e^{-lam T} <= tol.
+def mellin_phi(coeffs, s, cfg: QuadConfig = DEFAULT_QUAD):
+    """int_{-inf}^0 (1-x)^s e^{f(x)} dx for a polynomial f = sum g_k x^k.
 
-    P = sum beta_j t^j must have beta_n < 0.  For t >= T0 the lower-order
-    terms eat at most half the leading one, so P(t) <= -lam t with
-    lam = |beta_n| T0^{n-1} / 2.
+    The archimedean Phi: same weight data as poly_gexp, so the two sides
+    of the functional equation can be compared place by place.  Rejects
+    weights that grow along the contour.  With t = 1 - x and
+    f(1 - t) = P(t) = sum beta_j t^j, beta_n < 0, the lower-order terms eat
+    at most half the leading one for t >= T0, so P(t) <= -lam t with
+    lam = |beta_n| T0^{n-1} / 2, and the tail past T is at most
+    (2/lam) T^a e^{-lam T} (a = Re s).
     """
+    g = [float(c) for c in coeffs]
+    beta = _poly_shift_coeffs(g)
     n = len(beta) - 1
     while n > 0 and beta[n] == 0:
         n -= 1
@@ -181,25 +200,7 @@ def _mellin_cut(beta: list, a: float, tol: float) -> float:
         raise ValueError("weight does not decay along the negative axis")
     lead = abs(beta[n])
     T0 = max(1.0, 1.0 + 2.0 * sum(abs(b) for b in beta[:n]) / lead)
-    lam = lead * T0 ** (n - 1) / 2.0
-    T = max(T0, 2.0 * a / lam)
-    while (2.0 / lam) * T ** a * math.exp(-lam * T) > tol:
-        T += max(1.0, 1.0 / lam)
-    return T
-
-
-def mellin_phi(coeffs, s, cfg: QuadConfig = DEFAULT_QUAD):
-    """int_{-inf}^0 (1-x)^s e^{f(x)} dx for a polynomial f = sum g_k x^k.
-
-    The archimedean Phi: same weight data as poly_gexp, so the two sides
-    of the functional equation can be compared place by place.  Rejects
-    weights that grow along the contour or overflow double range.
-    """
-    g = [float(c) for c in coeffs]
-    beta = _poly_shift_coeffs(g)
-    a = float(s.real if isinstance(s, complex) else s)
-    T = _mellin_cut(beta, a, cfg.tail_tol)
-    X = 1.0 - T
+    T = _cut(float(s.real), lead * T0 ** (n - 1) / 2.0, T0, math.log(cfg.tail_tol))
 
     def f(x: float) -> float:
         acc = 0.0
@@ -207,12 +208,7 @@ def mellin_phi(coeffs, s, cfg: QuadConfig = DEFAULT_QUAD):
             acc = (acc + c) * x
         return acc
 
-    peak = max(f(X + (0.0 - X) * j / 64.0) for j in range(65))
-    if peak > 700.0:
-        raise ValueError("weight overflows double precision on the contour")
-    if isinstance(s, complex) and s.imag != 0:
-        return _quad_complex(lambda x: cmath.exp(s * math.log1p(-x) + f(x)), X, 0.0, cfg)
-    return _quad_real(lambda x: (1.0 - x) ** a * math.exp(f(x)), X, 0.0, cfg)
+    return _contour(s, f, 1.0 - T, 0.0, cfg)
 
 
 def mellin_fe_residual(coeffs, s, cfg: QuadConfig = DEFAULT_QUAD) -> float:

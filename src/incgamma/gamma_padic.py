@@ -197,6 +197,8 @@ def Psi(r, s, ctx: PadicContext, target: int | None = None,
     r = require_unit(r, ctx.p)
     s = s if isinstance(s, PadicNumber) else as_rational(s)
     value = Phi(r, (s + 1) / r - 1, ctx, target=target, route=route)
+    if route == "dirac":  # <r> alone: the L-values belong to the direct route
+        return principal_power(principal_part(ctx.number(r)), s) * value
     K = factorial_length_for(ctx.p, ctx.precision if target is None else target)
     return principal_power(_twist_and_lvalues(r, ctx, K)[0], s) * value
 

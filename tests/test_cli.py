@@ -167,11 +167,11 @@ def test_negative_counts_are_usage_errors(capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
-    ("interp-check", "--r", "1/2", "--complex", "--m-max", "120"),
-    ("eval", "--side", "complex", "--r", "1/2", "--s", "150"),
+    ("interp-check", "--r", "1/2", "--complex", "--m-max", "175"),
+    ("eval", "--side", "complex", "--r", "1/2", "--s", "180"),
 ])
 def test_complex_overflow_is_a_domain_error(capsys, argv):
-    # these overflowed in a traceback with exit 1
+    # r^m psi_tilde(m) leaves double range at m = 171 for r = 1/2
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""

@@ -2,10 +2,11 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 from scipy.special import gamma as sp_gamma, gammainc, gammaincc
 
-from incgamma.gamma_complex import (QuadConfig, gammahat, gfn, lgfn,
+from incgamma.gamma_complex import (QuadConfig, _cut, gammahat, gfn, lgfn,
                                     mellin_fe_residual, mellin_phi, psi_complex,
                                     upper_gamma)
 from incgamma.gamma_padic import compatible_cubic, psi_tilde
@@ -98,6 +99,63 @@ def test_psi_complex_positive_matches_gfn():
     for r in (0.5, 2.0):
         for m in range(6):
             assert abs(psi_complex(r, m) - gfn(m, r)) <= 1e-12
+
+
+def test_psi_complex_reaches_double_range():
+    # m >= 98 at r = 1/2 overflowed before the integrand ran in log scale
+    for r in (Fraction(1, 2), Fraction(1), Fraction(2), Fraction(3)):
+        for m in range(91, 171):
+            want = float(r ** m * psi_tilde(r, m))
+            assert rel_err(psi_complex(float(r), m), want) <= 1e-8
+
+
+def test_beyond_double_range_raises():
+    for r in (0.5, 3.0, -1.0):
+        with pytest.raises(OverflowError):
+            psi_complex(r, 171)
+    with pytest.raises(OverflowError):
+        gfn(complex(400.0, 1.0), 2.0)
+
+
+def test_gfn_complex_against_mpmath():
+    # gfn(s, r) = e^r Gamma(s+1, r)
+    rng = random.Random(94)
+    with mpmath.workdps(30):
+        for _ in range(12):
+            s = complex(rng.uniform(-0.9, 5.0), rng.uniform(-30.0, 30.0))
+            r = rng.choice((0.5, 1.0, 2.0, 3.0))
+            want = complex(mpmath.exp(r) * mpmath.gammainc(s + 1, r))
+            assert abs(gfn(s, r) - want) <= 1e-8 * abs(want)
+
+
+def test_lgfn_negative_r_against_mpmath():
+    # lgfn(s, r) = e^r gamma(s+1, r), with the principal r^{s+1} at r < 0.
+    # mpmath's gammainc(a, 0, r) recurses without end at r < 0 for larger
+    # a, so the lower gamma comes from its form r^a/a 1F1(a; a+1; -r).
+    rng = random.Random(95)
+    with mpmath.workdps(30):
+        for s in [0, 3, 12, 2.5, -0.5, -0.3] + [
+                complex(rng.uniform(0.0, 4.0), rng.uniform(-5.0, 5.0)) for _ in range(4)]:
+            r = rng.choice((-0.5, -1.0, -2.0, -3.0))
+            a = mpmath.mpmathify(s) + 1
+            lower = mpmath.power(r, a) / a * mpmath.hyp1f1(a, a + 1, -r)
+            want = complex(mpmath.exp(r) * lower)
+            assert abs(lgfn(s, r) - want) <= 1e-10 * abs(want)
+
+
+def test_cut_bounds_the_tail():
+    # the cut keeps (2/lam) t^a e^{-lam t} below the target, within a
+    # factor e of it once the start point is not already below
+    rng = random.Random(96)
+    for _ in range(200):
+        a, lam = rng.uniform(-2.0, 300.0), rng.uniform(0.05, 40.0)
+        t0, log_tol = rng.uniform(1.0, 50.0), rng.uniform(-60.0, 0.0)
+        t = _cut(a, lam, t0, log_tol)
+        a = max(a, 0.0)
+        start = max(t0, 2.0 * a / lam)
+        g = math.log(2.0 / lam) + a * math.log(t) - lam * t - log_tol
+        assert t >= start and g <= 0
+        assert g > -1 or t == start
 
 
 def test_psi_complex_guards():

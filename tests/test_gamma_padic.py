@@ -148,6 +148,17 @@ def test_caches_stay_bounded():
     assert after.hits > before.hits
 
 
+def test_dirac_route_psi_leaves_the_lvalue_cache_alone():
+    # the dirac route used to build phi_fr's default expansion and its
+    # L-values only to read <r> from this cache
+    gamma_padic._twist_and_lvalues.cache_clear()
+    ctx = PadicContext(7, 12)
+    val = Psi(Fraction(11, 3), 4, ctx, route="dirac")
+    assert gamma_padic._twist_and_lvalues.cache_info().misses == 0
+    assert (val.lift(), val.abs_precision) == (3930242696, 12)
+    assert val == Psi(Fraction(11, 3), 4, ctx)
+
+
 def test_sigma_shift_relation():
     # sigma phi_r = S^{1/r - 1} phi_r
     ctx = PadicContext(3, 20)
