@@ -44,15 +44,18 @@ def vp(q, p: int):
     vp(a/b) = vp(a) - vp(b).
     """
     _check_prime(p)
-    q = as_rational(q)
+    return _vp(as_rational(q), p)
+
+
+def _vp(q, p: int):
+    """vp of an int or Fraction, for a p a PadicContext has checked."""
     if q == 0:
         return INF
     v = 0
-    n = q.numerator
+    n, d = q.numerator, q.denominator
     while n % p == 0:
         n //= p
         v += 1
-    d = q.denominator
     while d % p == 0:
         d //= p
         v -= 1

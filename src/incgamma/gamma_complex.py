@@ -50,20 +50,20 @@ def quad(fn, a, b, **kwargs):
     return _scipy_quad()(fn, a, b, **kwargs)
 
 
-def _contour(s, f, a: float, b: float, cfg: QuadConfig, r: float = 1.0):
+def _contour(s, f, a: float, b: float, cfg: QuadConfig, r: float = 1.0, points=None):
     """r^{s+1} int_a^b (1-x)^s e^{f(x)} dx for real f, r > 0 and b <= 1.
 
     The integrand is exp(s log1p(-x) + f(x) - peak), peak the largest real
     exponent on a grid over [a, b] packed towards b; e^peak r^{Re s + 1}
     goes back on in log scale, raising OverflowError past double range.
     Non-real s integrates the real and imaginary parts apart, r^{i Im s}
-    inside.
+    inside.  points are breakpoints for quad.
     """
     sr, si = float(s.real), float(s.imag)
     top = math.nextafter(b, a)  # (1-x)^s may be singular at b = 1
     peak = max(sr * math.log1p(-x) + f(x)
                for x in (top - (top - a) * (j / 16) ** 2 for j in range(17)))
-    opts = {"epsabs": cfg.epsabs, "epsrel": cfg.epsrel, "limit": cfg.limit}
+    opts = {"epsabs": cfg.epsabs, "epsrel": cfg.epsrel, "limit": cfg.limit, "points": points}
     if si == 0:
         val = quad(lambda x: math.exp(sr * math.log1p(-x) + f(x) - peak), a, b, **opts)[0]
     else:
@@ -118,7 +118,9 @@ def lgfn(s, r: float, cfg: QuadConfig = DEFAULT_QUAD):
         int_0^1 (1-x)^s e^{rx} dx = (1/(1+s)) int_0^1 e^{r(1 - u^{1/(1+s)})} du.
 
     Non-real s below the axis strip is rejected rather than integrated
-    against a singular endpoint.  r < 0 takes the principal r^{s+1}.
+    against a singular endpoint.  r < 0 takes the principal r^{s+1}.  Below
+    r = -40 quad gets a breakpoint 40 widths into the spike of width 1/|r|
+    where the integrand peaks, which its bisection would miss.
     """
     r = float(r)
     if r == 0:
@@ -128,11 +130,13 @@ def lgfn(s, r: float, cfg: QuadConfig = DEFAULT_QUAD):
         raise ValueError("non-real s needs Re s >= 0 here")
     if a <= -1:
         raise ValueError("need Re s > -1")
+    w = 40.0 / -r if r < -40 else 0.0  # 40 spike widths, in x
     if a >= 0:
-        val = _contour(s, lambda x: r * x, 0.0, 1.0, cfg, abs(r))
-    else:  # at s = 0 the helper's r^{s+1} carries |r|^{1+a}/(1+a)
-        e = 1.0 / (1.0 + a)
-        val = _contour(0.0, lambda u: r * (1.0 - u ** e), 0.0, 1.0, cfg, abs(r) ** (1.0 + a) * e)
+        val = _contour(s, lambda x: r * x, 0.0, 1.0, cfg, abs(r), [w] if w else None)
+    else:  # at s = 0 the helper's r^{s+1} carries |r|^{1+a}/(1+a); near
+        e = 1.0 / (1.0 + a)  # u = 1, 1 - u^e is about e (1 - u)
+        val = _contour(0.0, lambda u: r * (1.0 - u ** e), 0.0, 1.0, cfg,
+                       abs(r) ** (1.0 + a) * e, [1.0 - w / e] if w else None)
     if r > 0:
         return val
     out = complex(-1.0) ** (s + 1) * val

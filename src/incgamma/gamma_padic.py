@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import INF, as_rational, binom, vp
+from .exact import _vp, as_rational, binom
 from .padic import (PadicContext, PadicNumber, congruent, principal_part,
                     principal_power)
 from .series import TruncSeries
@@ -52,11 +52,11 @@ def f_r_series(r, order: int) -> TruncSeries:
 
 
 def require_unit(r, p: int) -> Fraction:
-    """The place check: v_p(r) must vanish."""
+    """The place check: v_p(r) must vanish (p a PadicContext's prime)."""
     r = as_rational(r)
     if r == 0:
         raise ValueError("r must be nonzero")
-    v = vp(r, p)
+    v = _vp(r, p)
     if v != 0:
         raise PlaceExcludedError(
             f"v_{p}({r}) = {v}; the construction needs a unit")
@@ -140,9 +140,9 @@ def poly_gexp(coeffs, ctx: PadicContext, length: int | None = None,
     if not g:
         raise CompatibilityError("need at least the linear coefficient")
     for k, c in enumerate(g, start=1):
-        if vp(c, p) < 0:
+        if _vp(c, p) < 0:
             raise CompatibilityError(f"coefficient of x^{k} is not p-integral: {c}")
-    if vp(g[0] - 1, p) < 1:
+    if _vp(g[0] - 1, p) < 1:
         raise CompatibilityError("f'(0) must be a principal unit")
     want = ctx.precision if tail_target is None else tail_target
     if length is None:
@@ -154,15 +154,20 @@ def poly_gexp(coeffs, ctx: PadicContext, length: int | None = None,
 def psi_tilde(r, m: int) -> Fraction:
     """The interpolated rational sequence: psi_tilde(0) = 1 and
     psi_tilde(m) = 1 + (m/r) psi_tilde(m-1)."""
+    return psi_tilde_values(r, m)[m]
+
+
+def psi_tilde_values(r, m_max: int) -> list:
+    """psi_tilde(0), ..., psi_tilde(m_max) from one run of the recurrence."""
     r = as_rational(r)
     if r == 0:
         raise ValueError("r must be nonzero")
-    if m < 0:
+    if m_max < 0:
         raise ValueError("m must be a nonnegative integer")
-    val = Fraction(1)
-    for j in range(1, m + 1):
-        val = 1 + Fraction(j) / r * val
-    return val
+    vals = [Fraction(1)]
+    for j in range(1, m_max + 1):
+        vals.append(1 + Fraction(j) / r * vals[-1])
+    return vals
 
 
 def Phi(r, s, ctx: PadicContext, target: int | None = None,
@@ -270,9 +275,4 @@ def functional_eq_check(coeffs, s, ctx: PadicContext, target: int | None = None,
                         k: int | None = None) -> bool:
     """Whether the two sides of the functional equation agree mod p^k
     (default: the weaker of the two precision claims)."""
-    lhs, rhs = functional_eq_parts(coeffs, s, ctx, target=target)
-    if k is None:
-        k = min(lhs.abs_precision, rhs.abs_precision)
-        if k == INF:
-            k = ctx.precision
-    return congruent(lhs, rhs, k)
+    return congruent(*functional_eq_parts(coeffs, s, ctx, target=target), k)

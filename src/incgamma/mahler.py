@@ -1,14 +1,14 @@
 """Continuous functions on Z_p through their Mahler expansions.
 
 phi = sum a_n binom(x, n), with ||phi|| = sup |a_n|.  A MahlerFn stores
-a_0..a_K as an immutable tuple of PadicNumbers together with a Tail record
-bounding every coefficient beyond K; the measures of measure are the same
-data, read as moments.  Every sum over the coefficients (evaluation,
-convolution, the L-values of transform) runs on plain ints: _residues
-factors p^shift out of the coefficients, shift = min(0, lowest valuation),
-and the result is PadicNumber._make(ctx, shift, total, claim).  Every
-evaluation point takes the one int loop: a PadicNumber at its integer
-lift, a non-integer Fraction at an integer lift of enough digits.
+a_0..a_K once, as p^shift times plain ints with each claim and valuation
+(shift = min(0, lowest valuation)), and a Tail record bounding every
+coefficient beyond K; the measures of measure are the same data, read as
+moments.  Evaluation, convolution, sums, scalings, the pairing and the
+L-values of transform all run on those ints; PadicNumbers appear only as
+results and when coeffs is read.  Every evaluation point takes the one int
+loop: a PadicNumber at its integer lift, a non-integer Fraction at an
+integer lift of enough digits.
 ExactMahler is the finitely-supported rational counterpart used wherever
 exactness matters (oracles, the correspondence checks, small building
 blocks); it reduces into a MahlerFn with an exact tail.
@@ -33,11 +33,13 @@ an increasing bound; gexp_tail_floor freezes its value at K+1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from operator import mul
+from itertools import zip_longest
+from operator import add, mul
+from typing import NamedTuple
 
-from .exact import INF, as_rational, digit_count, vp
+from .exact import INF, _vp, as_rational, digit_count
 from .padic import PadicContext, PadicNumber, p_exp, zp_residue
 from .series import TruncSeries
 
@@ -139,30 +141,66 @@ class ExactMahler:
         return f"ExactMahler({self.coeffs[:6]}{'...' if self.length > 5 else ''})"
 
 
+class _Residues(NamedTuple):
+    """a_n = p^shift res[n] + O(p^claims[n]) of valuation vals[n], M = min(claims);
+    an exact zero has res 0 and claim INF, an O(p^A) res 0 and valuation A."""
+    shift: int
+    M: int | float
+    res: tuple
+    claims: tuple
+    vals: tuple
+
+
+def _record(p: int, shift: int, res, claims) -> _Residues:
+    """Record of a_n = p^shift res[n] + O(p^claims[n]): each res[n] reduced,
+    the valuations read off the ints, shift moved to min(0, lowest one)."""
+    mods = {A: p ** (A - shift) if shift < A < INF else 1 for A in set(claims)}
+    res = [r % mods[A] for r, A in zip(res, claims)]
+    # a nonzero r mod p^k has gcd(r, p^k) = p^vp(r)
+    top = max(mods.values())
+    log = {p ** k: k for k in range(top.bit_length())}
+    vals = [shift + log[math.gcd(r, mods[A])] if r else A for r, A in zip(res, claims)]
+    low = min(0, shift + log[math.gcd(math.gcd(*res), top)]) if any(res) else 0
+    if low != shift:
+        d = p ** abs(low - shift)
+        res = [r * d for r in res] if low < shift else [r // d for r in res]
+    return _Residues(low, min(claims, default=INF), tuple(res), tuple(claims), tuple(vals))
+
+
 class MahlerFn:
     """Mahler expansion with p-adic coefficients and a tail record.
 
-    coeffs is an immutable tuple of PadicNumbers a_0..a_K, and tail bounds
-    every a_n with n > K.  The same data is a bounded measure read through
-    its moments (see measure), so functions and measures share this type.
+    a_0..a_K live once as a residue record (_Residues), and tail bounds
+    every a_n with n > K; coeffs, the tuple of PadicNumbers, is derived on
+    first read.  The same data is a bounded measure read through its
+    moments (see measure), so functions and measures share this type.
     Attribute writes raise, so a cached expansion cannot be changed.
     """
 
-    __slots__ = ("ctx", "coeffs", "tail")
+    __slots__ = ("ctx", "tail", "_res", "_coeffs")
 
     def __init__(self, ctx: PadicContext, coeffs, tail: Tail):
-        _set_ctx(self, ctx)
-        _set_coeffs(self, tuple(c if isinstance(c, PadicNumber)
-                                else ctx.number(as_rational(c)) for c in coeffs)
-                    or (ctx.zero(),))
-        _set_tail(self, tail)
+        coeffs = tuple(c if isinstance(c, PadicNumber) else ctx.number(c)
+                       for c in coeffs) or (ctx.zero(),)
+        p, shift = ctx.p, min(0, *(c.valuation for c in coeffs))
+        res = [c.unit and c.unit * p ** (c.valuation - shift) for c in coeffs]
+        claims = [c.abs_precision for c in coeffs]
+        _new(ctx, _record(p, shift, res, claims), tail, coeffs, self)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"MahlerFn is immutable: cannot set {name!r}")
 
     @property
+    def coeffs(self) -> tuple:
+        if self._coeffs is None:
+            shift, _, res, claims, _ = self._res
+            object.__setattr__(self, "_coeffs", tuple(
+                PadicNumber._make(self.ctx, shift, r, A) for r, A in zip(res, claims)))
+        return self._coeffs
+
+    @property
     def length(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self._res.res) - 1
 
     def coeff(self, n: int) -> PadicNumber:
         if 0 <= n <= self.length:
@@ -173,12 +211,6 @@ class MahlerFn:
 
     # -- norms -------------------------------------------------------------
 
-    def _coeff_valuation(self, n: int):
-        c = self.coeffs[n]
-        if c.is_exact_zero():
-            return INF
-        return c.valuation
-
     def min_valuation(self):
         """Exponent e with ||phi|| <= p^(-e); equality when the stored
         minimum does not exceed the tail bound (the usual case).  INF means
@@ -187,14 +219,9 @@ class MahlerFn:
 
     def valuation_beyond(self, m: int):
         """Lower bound for min valuation over indices n > m."""
-        stored = min((self._coeff_valuation(n) for n in range(m + 1, self.length + 1)),
-                     default=INF)
-        return min(stored, self.tail.exponent)
+        return min(min(self._res.vals[m + 1:], default=INF), self.tail.exponent)
 
     # -- evaluation --------------------------------------------------------
-
-    def _arith_precision(self):
-        return min((c.abs_precision for c in self.coeffs), default=INF)
 
     def eval(self, x) -> PadicNumber:
         """phi(x) for x in Z_p.
@@ -205,7 +232,7 @@ class MahlerFn:
         at a PadicNumber known mod p^N, also at most _point_claim(N).
         """
         ctx = self.ctx
-        M = self._arith_precision()
+        M = self._res.M
         if isinstance(x, PadicNumber):
             if not x.is_exact_zero() and x.valuation < 0:
                 raise ValueError("evaluation point must lie in Z_p")
@@ -216,7 +243,7 @@ class MahlerFn:
             cap = self._point_claim(x.abs_precision)
             return val + PadicNumber(ctx, cap, 0, cap) if cap < val.abs_precision else val
         x = as_rational(x)
-        if vp(x, ctx.p) < 0:
+        if x.denominator % ctx.p == 0:
             raise ValueError("evaluation point must lie in Z_p")
         if M == INF:
             M = ctx.precision
@@ -239,22 +266,21 @@ class MahlerFn:
         lifts reach, claim the tail exponent.
         """
         p = self.ctx.p
-        terms = (c.valuation + N - digit_count(n, p) + 1
-                 for n, c in enumerate(self.coeffs) if n and c.unit != 0)
+        _, _, res, _, vals = self._res
+        terms = (v + N - digit_count(n, p) + 1
+                 for n, (r, v) in enumerate(zip(res, vals)) if n and r)
         return min(self.tail.exponent, min(terms, default=INF))
 
     def _eval_int_mod(self, X: int, M) -> PadicNumber:
         # binom(X, n) = 0 beyond X >= 0, so only a_0..a_X enter
         stop = min(self.length, X) if X >= 0 else self.length
-        shift, mod, res = _residues(self.ctx, self.coeffs[:stop + 1], M)
-        acc = 0
-        b = 1  # binom(X, n), exact integer, updated incrementally
-        for n, c in enumerate(res):
-            if c:
-                acc += c * (b % mod)
-            b = b * (X - n) // (n + 1)
+        shift, _, res, _, _ = self._res
+        binoms = [1]  # binom(X, n), exact integers
+        for n in range(stop):
+            binoms.append(binoms[-1] * (X - n) // (n + 1))
         claim = M if 0 <= X <= self.length else min(M, self.tail.exponent)
-        return PadicNumber._make(self.ctx, shift, acc % mod, claim)
+        mod = self.ctx.p ** max(0, M - shift)
+        return PadicNumber._make(self.ctx, shift, sum(map(mul, res, binoms)) % mod, claim)
 
     # -- shift algebra -----------------------------------------------------
 
@@ -264,31 +290,40 @@ class MahlerFn:
         With a finite tail the last stored coefficient absorbs an O(p^T)
         term for the unknown a_{K+1}; the tail exponent is unchanged.
         """
-        K = self.length
-        if self.tail.exponent == INF:
-            coeffs = [self.coeff(n) + self.coeff(n + 1) for n in range(K + 1)]
-            return MahlerFn(self.ctx, coeffs, self.tail)
-        unknown = PadicNumber(self.ctx, self.tail.exponent, 0, self.tail.exponent)
-        coeffs = [self.coeffs[n] + self.coeffs[n + 1] for n in range(K)]
-        coeffs.append(self.coeffs[K] + unknown)
-        return MahlerFn(self.ctx, coeffs, self.tail)
+        shift, _, res, claims, _ = self._res
+        T = self.tail.exponent  # a_{K+1} is O(p^T), an exact zero when T = INF
+        rec = _record(self.ctx.p, shift, list(map(add, res, res[1:] + (0,))),
+                      list(map(min, claims, claims[1:] + (T,))))
+        return _new(self.ctx, rec, self.tail)
 
     def scale(self, c) -> "MahlerFn":
-        if not isinstance(c, PadicNumber):
-            c = self.ctx.number(as_rational(c))
-        v = c.valuation if not c.is_exact_zero() else INF
-        texp = self.tail.exponent + v if self.tail.exponent != INF else INF
-        return MahlerFn(self.ctx, [a * c for a in self.coeffs],
-                        Tail(texp, self.tail.certified, self.tail.note))
+        """c * phi on residues: a_n c claims min(A_n + v(c), A_c + v(a_n)),
+        as PadicNumber products do, and exact zeros stay exact."""
+        c = c if isinstance(c, PadicNumber) else self.ctx.number(c)
+        if c.ctx.p != self.ctx.p:
+            raise ValueError("mixed primes")
+        v = c.valuation
+        shift, _, res, claims, vals = self._res
+        rec = _record(self.ctx.p, shift + (0 if v == INF else v), [r * c.unit for r in res],
+                      [min(A + v, c.abs_precision + w) for A, w in zip(claims, vals)])
+        return _new(self.ctx, rec, replace(self.tail, exponent=self.tail.exponent + v))
 
     def add(self, other: "MahlerFn") -> "MahlerFn":
+        """Termwise sum on residues; a_n + b_n claims min(A_n, B_n)."""
         if self.ctx.p != other.ctx.p:
             raise ValueError("mixed primes")
+        p = self.ctx.p
         K = _joint_length(self, other, max(self.length, other.length))
-        coeffs = [self.coeff(n) + other.coeff(n) for n in range(K + 1)]
+        a, b = self._res, other._res
+        shift = min(a.shift, b.shift)
+        ra, rb = ([r * p ** (f.shift - shift) for r in f.res[:K + 1]] for f in (a, b))
+        # past the shorter exact expansion its terms are exact zeros
+        rec = _record(p, shift, [x + y for x, y in zip_longest(ra, rb, fillvalue=0)],
+                      list(map(min, zip_longest(a.claims[:K + 1], b.claims[:K + 1],
+                                                fillvalue=INF))))
         texp = min(self.valuation_beyond(K), other.valuation_beyond(K))
         certified = self.tail.certified and other.tail.certified
-        return MahlerFn(self.ctx, coeffs, Tail(texp, certified, "sum"))
+        return _new(self.ctx, rec, Tail(texp, certified, "sum"))
 
     def __repr__(self):
         t = "inf" if self.tail.exponent == INF else str(self.tail.exponent)
@@ -297,9 +332,13 @@ class MahlerFn:
                 f"tail {kind} >= {t})")
 
 
-_set_ctx = MahlerFn.ctx.__set__
-_set_coeffs = MahlerFn.coeffs.__set__
-_set_tail = MahlerFn.tail.__set__
+def _new(ctx: PadicContext, rec: _Residues, tail: Tail, coeffs=None, fn=None):
+    """Fill fn (a new MahlerFn by default) past the write guard; coeffs is
+    derived from rec on demand unless given."""
+    fn = MahlerFn.__new__(MahlerFn) if fn is None else fn
+    for name, value in zip(MahlerFn.__slots__, (ctx, tail, rec, coeffs)):
+        object.__setattr__(fn, name, value)
+    return fn
 
 
 def _joint_length(a: MahlerFn, b: MahlerFn, exact: int) -> int:
@@ -308,70 +347,51 @@ def _joint_length(a: MahlerFn, b: MahlerFn, exact: int) -> int:
     return min((f.length for f in (a, b) if f.tail.exponent != INF), default=exact)
 
 
-def _residues(ctx: PadicContext, numbers, M) -> tuple:
-    """(shift, p^(M - shift), residues of p^-shift x mod that) for PadicNumbers
-    x known mod p^M, where shift = min(0, lowest valuation among them).
-
-    Every sum over coefficients runs on these plain ints and returns
-    PadicNumber._make(ctx, shift, total, claim).
-    """
-    p = ctx.p
-    shift = min(0, min((x.valuation for x in numbers if x.unit != 0), default=0))
-    mod = p ** max(0, M - shift)
-    return shift, mod, [x.unit * p ** (x.valuation - shift) % mod if x.unit != 0 else 0
-                        for x in numbers]
-
-
 def convolve(a: MahlerFn, b: MahlerFn) -> MahlerFn:
     """Multiplicative convolution: c_n = sum_k binom(n,k) a_k b_{n-k}.
 
     Output length: full support when both tails are exact, otherwise the
     shortest certain range.  With both factors known mod p^M and factored
     as p^sa, p^sb times residues (sa, sb <= 0), every c_n claims
-    M + min(sa, sb).  The output tail pairs each factor's tail
+    M + min(sa, sb).  Only k up to the last nonzero residue of the factor
+    whose support ends first enters: the Pascal row stops there, and each
+    c_n is one C-level sum.  The output tail pairs each factor's tail
     beyond index floor(K/2) with the other factor's norm.
     """
     if a.ctx.p != b.ctx.p:
         raise ValueError("mixed primes")
     ctx = a.ctx
     K_out = _joint_length(a, b, a.length + b.length)
-    M = min(a._arith_precision(), b._arith_precision())
+    M = min(a._res.M, b._res.M)
     if M == INF:
         M = ctx.precision
-    sa, _, ra = _residues(ctx, a.coeffs, M)
-    sb, _, rb = _residues(ctx, b.coeffs, M)
-    ra += [0] * (K_out + 1 - len(ra))
-    rb += [0] * (K_out + 1 - len(rb))
+    sa, sb = a._res.shift, b._res.shift
     mod = ctx.p ** max(0, M - max(sa, sb))
-    coeffs = []
-    row = [1]  # Pascal row binom(n, k) mod p^(M - max(sa, sb))
+    ra, rb = ([r % mod for r in f._res.res[:K_out + 1]] for f in (a, b))
+    ea, eb = (max((k for k, r in enumerate(f) if r), default=-1) for f in (ra, rb))
+    if eb < ea:
+        ra, rb, ea = rb, ra, eb
+    rev = (rb + [0] * (K_out + 1 - len(rb)))[::-1]  # rev[K_out - j] = b_j
+    out = []
+    row = [1]  # binom(n, k) mod p^(M - max(sa, sb)) for k <= min(n, ea)
     for n in range(K_out + 1):
-        acc = 0
-        for k in range(n + 1):
-            if ra[k] and rb[n - k]:
-                acc += row[k] * ra[k] * rb[n - k]
-        coeffs.append(PadicNumber._make(ctx, sa + sb, acc % mod, M + min(sa, sb)))
-        row = [1] + [(row[k - 1] + row[k]) % mod for k in range(1, n + 1)] + [1]
-
+        out.append(sum(map(mul, map(mul, row, ra), rev[K_out - n:K_out - n + ea + 1])) % mod)
+        row = [1, *map(mod.__rmod__, map(add, row, row[1:])), 1][:ea + 1]
     half = K_out // 2
     texp = min(a.valuation_beyond(half) + b.min_valuation(),
                b.valuation_beyond(half) + a.min_valuation())
     certified = a.tail.certified and b.tail.certified
-    return MahlerFn(ctx, coeffs, Tail(texp, certified, "convolution"))
+    claim = M + min(sa, sb)
+    return _new(ctx, _record(ctx.p, sa + sb, out, [claim] * (K_out + 1)),
+                Tail(texp, certified, "convolution"))
 
 
 def heuristic_tail(ctx: PadicContext, coeffs) -> Tail:
     """Window evidence: minimum valuation over the last 3p stored
     coefficients, recorded as a heuristic tail."""
-    W = 3 * ctx.p
-    window = coeffs[-W:]
-    vals = []
-    for c in window:
-        if c.is_exact_zero():
-            continue
-        vals.append(c.valuation if c.unit != 0 else c.abs_precision)
-    e = min(vals, default=INF)
-    return Tail(e, False, f"window W={len(window)}")
+    window = coeffs[-3 * ctx.p:]
+    return Tail(min((c.valuation for c in window), default=INF), False,
+                f"window W={len(window)}")
 
 
 def from_gexp(f: TruncSeries, ctx: PadicContext,
@@ -390,24 +410,18 @@ def from_gexp(f: TruncSeries, ctx: PadicContext,
     if f.order < 1:
         raise ValueError("need at least the linear coefficient of f")
     for n, c in enumerate(f.coeffs):
-        if vp(c, p) < 0:
+        if _vp(c, p) < 0:
             raise ValueError(f"coefficient {n} is not p-integral: {c}")
-    f0 = f.coeff(0)
-    _check_gexp_domain(f0, f.coeff(1), p)
+    f0, v0, need = f.coeff(0), _vp(f.coeff(0), p), 2 if p == 2 else 1
+    if v0 != INF and v0 < need:
+        raise ValueError(f"f(0) outside the exp disc: v_p = {v0} < {need}")
+    if _vp(f.coeff(1) - 1, p) < 1:
+        raise ValueError("f'(0) must be a principal unit")
     M = ctx.precision
     g = [f.coeff(1) - 1] + f.coeffs[2:]
     head = p_exp(ctx.number(f0)).residue(M) if f0 != 0 else 1
     want = M if tail_target is None else tail_target
     return _gexp_kernel(ctx, _rational_weights(g, p ** M), f.order, want, head)
-
-
-def _check_gexp_domain(f0, f1: Fraction, p: int) -> None:
-    v0 = vp(f0, p)
-    need = 2 if p == 2 else 1
-    if v0 != INF and v0 < need:
-        raise ValueError(f"f(0) outside the exp disc: v_p = {v0} < {need}")
-    if vp(f1 - 1, p) < 1:
-        raise ValueError("f'(0) must be a principal unit")
 
 
 def _rational_weights(g: list, mod: int) -> list:
@@ -449,10 +463,10 @@ def _gexp_kernel(ctx: PadicContext, weights: list, length: int, want: int,
         # sum over k = 1..top of w_k row_k d_(n-k)
         terms = map(mul, map(mul, w[1:top + 1], row[1:top + 1]), reversed(d[n - top:n]))
         d.append(sum(terms) % mod)
-    coeffs = [PadicNumber._make(ctx, 0, c * head % mod, M) for c in d]
+    res = [c * head % mod for c in d]
     tail = Tail(gexp_tail_floor(p, length), True, "gexp certificate")
     if tail.exponent < want:
-        window = heuristic_tail(ctx, coeffs)
+        window = heuristic_tail(ctx, [PadicNumber._make(ctx, 0, c, M) for c in res[-3 * p:]])
         if window.exponent > tail.exponent:
             tail = window
-    return MahlerFn(ctx, coeffs, tail)
+    return _new(ctx, _record(p, 0, res, [M] * len(res)), tail)

@@ -4,50 +4,61 @@ A measure mu is stored through its moments b_n = mu(binom(., n)) in a
 MahlerFn, whose tail bounds the unstored moments; pairing with
 phi = sum a_n binom(., n) is integrate(phi, mu) = sum a_n b_n.  The Dirac
 measure at x has moments binom(x, n), and the twist of a Dirac by a
-continuous psi has moments binom(x, n) psi(x - n).  These are exactly the
-sequences the incomplete-gamma integral representation pairs against.
+continuous psi has moments binom(x, n) psi(x - n), the sequences the
+incomplete-gamma integral representation pairs against.  dirac builds and
+integrate reads the residue records of mahler, never PadicNumber sums.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from operator import add, mul
 
-from .exact import INF, as_rational, digit_count, vp
+from .exact import INF, _vp, as_rational, digit_count
 from .padic import PadicContext, PadicNumber
-from .mahler import MahlerFn, Tail, _joint_length
+from .mahler import MahlerFn, Tail, _joint_length, _new, _record
 
 
 def dirac(x, ctx: PadicContext, length: int) -> MahlerFn:
     """delta_x with moments binom(x, n); |binom| <= 1 certifies the tail.
 
-    At a PadicNumber x known mod p^N the moment binom(x, n) is fixed only
-    mod p^(N - floor(log_p n)) (see MahlerFn._point_claim), and claims that.
+    One int loop carries binom(x, n) = p^v u, u a unit mod p^M, through
+    binom(x, n+1) = binom(x, n) (a - nd) / (d (n+1)) for x = a/d.  At an
+    int or a Fraction (M = precision) a moment claims M + v, as ctx.number
+    would; past an integer 0 <= x <= length they are exact zeros, with an
+    exact tail.  At a PadicNumber x known mod p^M the moment binom(x, n) is
+    fixed only mod p^(M - floor(log_p n)) (see MahlerFn._point_claim).
     """
-    if isinstance(x, PadicNumber):
+    p, M = ctx.p, ctx.precision
+    padic = isinstance(x, PadicNumber)
+    if padic:
         if not x.is_exact_zero() and x.valuation < 0:
             raise ValueError("Dirac point must lie in Z_p")
-        exact = x.abs_precision == INF
-        M = ctx.precision if exact else x.abs_precision
-        X = 0 if x.is_exact_zero() else x.residue(M)
-        mod = ctx.p ** M
-        coeffs = []
-        b = 1
-        for n in range(length + 1):
-            claim = M if exact or n == 0 else M - digit_count(n, ctx.p) + 1
-            coeffs.append(PadicNumber._make(ctx, 0, b % mod, claim))
-            b = b * (X - n) // (n + 1)
-        return MahlerFn(ctx, coeffs, Tail(0, True, "binomials are integral"))
-    x = as_rational(x)
-    if vp(x, ctx.p) < 0:
-        raise ValueError("Dirac point must lie in Z_p")
-    coeffs = []
-    b = Fraction(1)
+        M = M if x.abs_precision == INF else x.abs_precision
+        a, d = x.residue(M), 1
+        claims = [M if x.abs_precision == INF or n == 0 else M - digit_count(n, p) + 1
+                  for n in range(length + 1)]
+    else:
+        x = as_rational(x)
+        a, d = x.numerator, x.denominator
+        if d % p == 0:
+            raise ValueError("Dirac point must lie in Z_p")
+        claims = [INF] * (length + 1)
+    mod = p ** M
+    res = [0] * (length + 1)
+    u, v = 1, 0  # binom(x, n) = p^v u, u a unit mod p^M
     for n in range(length + 1):
-        coeffs.append(ctx.number(b))
-        b = b * (x - n) / (n + 1)
-    if x.denominator == 1 and 0 <= x <= length:
-        return MahlerFn(ctx, coeffs, Tail.exact())  # binom(x, n) = 0 beyond x
-    return MahlerFn(ctx, coeffs, Tail(0, True, "binomials are integral"))
+        res[n] = u * p ** v
+        if not padic:
+            claims[n] = M + v
+        t = a - n * d
+        if t == 0:  # binom(x, n) = 0 beyond the integer x = n
+            break
+        i, j = _vp(t, p), _vp(n + 1, p)
+        v += i - j
+        u = u * (t // p ** i) * pow(d * (n + 1) // p ** j, -1, mod) % mod
+    exact = t == 0 and not padic
+    return _new(ctx, _record(p, 0, res, claims),
+                Tail.exact() if exact else Tail(0, True, "binomials are integral"))
 
 
 def mu_psi_x(psi: MahlerFn, x, length: int | None = None) -> MahlerFn:
@@ -55,31 +66,27 @@ def mu_psi_x(psi: MahlerFn, x, length: int | None = None) -> MahlerFn:
 
     Pairing phi against it computes the convolution value (psi * phi)(x).
     """
-    ctx = psi.ctx
-    if length is None:
-        length = psi.length
-    base = dirac(x, ctx, length)
+    base = dirac(x, psi.ctx, psi.length if length is None else length)
     coeffs = [b * psi.eval(x - n) for n, b in enumerate(base.coeffs)]
     e = psi.min_valuation()
-    texp = base.tail.exponent
-    if texp != INF:
-        texp = texp + (e if e != INF else 0)
+    texp = base.tail.exponent + (e if e != INF else 0)
     certified = base.tail.certified and psi.tail.certified
-    return MahlerFn(ctx, coeffs, Tail(texp, certified, "twisted Dirac"))
+    return MahlerFn(psi.ctx, coeffs, Tail(texp, certified, "twisted Dirac"))
 
 
 def integrate(phi: MahlerFn, mu: MahlerFn) -> PadicNumber:
-    """sum a_n b_n, with the cross tails folded into the reported precision."""
+    """sum a_n b_n on the residue records, with the cross tails folded into
+    the reported precision.  Term n claims min(A_n + v(b_n), B_n + v(a_n)),
+    as a PadicNumber product does, and the sum claims the least of those."""
     if phi.ctx.p != mu.ctx.p:
         raise ValueError("mixed primes")
     K = _joint_length(phi, mu, max(phi.length, mu.length))
-    acc = phi.ctx.zero()
-    for n in range(K + 1):
-        acc = acc + phi.coeff(n) * mu.coeff(n)
+    sa, _, ra, Pa, va = phi._res
+    sb, _, rb, Pb, vb = mu._res
+    total = sum(map(mul, ra[:K + 1], rb[:K + 1]))
+    claim = min([*map(add, Pa[:K + 1], vb), *map(add, Pb[:K + 1], va)], default=INF)
     # contributions beyond K: every unseen term has index n > K in both
     # factors at once, so either cross bound applies; keep the stronger
     err = max(phi.valuation_beyond(K) + mu.min_valuation(),
               mu.valuation_beyond(K) + phi.min_valuation())
-    if err != INF:
-        acc = acc + PadicNumber(phi.ctx, err, 0, err)
-    return acc
+    return PadicNumber._make(phi.ctx, sa + sb, total, min(claim, err))

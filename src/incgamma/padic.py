@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact import INF, as_rational, vp
+from .exact import INF, _vp, as_rational, vp
 
 
 class DivergentSeriesError(ArithmeticError):
@@ -119,9 +119,6 @@ class PadicNumber:
         """True when the value is indistinguishable from 0 at its precision."""
         return self.unit == 0
 
-    def is_unit(self) -> bool:
-        return self.valuation == 0
-
     def residue(self, k: int) -> int:
         """Integer in [0, p^k) congruent to the value mod p^k (needs v >= 0)."""
         if k > self.abs_precision:
@@ -151,17 +148,10 @@ class PadicNumber:
             if q == 0:
                 return PadicNumber(self.ctx, INF, 0, INF)
             # generous embedding so coercion never caps the other operand
-            v = vp(q, self.ctx.p)
+            v = _vp(q, self.ctx.p)
             pad = self.abs_precision if self.abs_precision != INF else self.ctx.precision
             return from_rational(q, self.ctx, abs_prec=pad + abs(v) + 4)
         return None
-
-    def _scaled_lift(self):
-        """(integer n, shift m) with value = n * p^m, n known mod p^(A - m)."""
-        m = min(self.valuation, 0)
-        if self.unit == 0:
-            return 0, m
-        return self.unit * self.ctx.p ** (self.valuation - m), m
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -173,10 +163,8 @@ class PadicNumber:
             return self
         abs_prec = min(self.abs_precision, other.abs_precision)
         m = min(self.valuation, other.valuation, 0)
-        a, ma = self._scaled_lift()
-        b, mb = other._scaled_lift()
         p = self.ctx.p
-        s = a * p ** (ma - m) + b * p ** (mb - m)
+        s = self.unit * p ** (self.valuation - m) + other.unit * p ** (other.valuation - m)
         return PadicNumber._make(self.ctx, m, s, abs_prec)
 
     __radd__ = __add__
@@ -291,7 +279,7 @@ def from_rational(q, ctx: PadicContext, abs_prec=None) -> PadicNumber:
     q = as_rational(q)
     if q == 0:
         return PadicNumber(ctx, INF, 0, INF)
-    v = vp(q, ctx.p)
+    v = _vp(q, ctx.p)
     if abs_prec is None:
         abs_prec = ctx.precision + max(v, 0)
     rel = abs_prec - v
@@ -308,11 +296,13 @@ def from_rational(q, ctx: PadicContext, abs_prec=None) -> PadicNumber:
     return PadicNumber(ctx, v, unit, abs_prec)
 
 
-def congruent(x: PadicNumber, y, k: int) -> bool:
-    """True when v_p(x - y) >= k, i.e. x and y agree mod p^k."""
+def congruent(x: PadicNumber, y, k: int | None = None) -> bool:
+    """True when v_p(x - y) >= k, i.e. x and y agree mod p^k; k defaults
+    to the weaker of the two claims."""
     d = x - y
     if d.is_exact_zero():
         return True
+    k = d.abs_precision if k is None else k
     if d.abs_precision < k:
         raise PrecisionError(
             f"congruence mod p^{k} undecidable at precision {d.abs_precision}")
@@ -327,7 +317,7 @@ def teichmuller(u: PadicNumber) -> PadicNumber:
     """
     if not isinstance(u, PadicNumber):
         raise TypeError("teichmuller needs a PadicNumber; embed first")
-    if not u.is_unit():
+    if u.valuation != 0:
         raise ValueError("teichmuller character needs a p-adic unit")
     p = u.ctx.p
     k = u.abs_precision
@@ -360,7 +350,7 @@ def zp_residue(s, ctx: PadicContext, k: int):
         n = min(k, s.abs_precision)
         return s.residue(n), n
     s = as_rational(s)
-    if vp(s, ctx.p) < 0:
+    if _vp(s, ctx.p) < 0:
         raise ValueError("exponent must lie in Z_p")
     mod = ctx.p ** k
     return s.numerator * pow(s.denominator, -1, mod) % mod, k

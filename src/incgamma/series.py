@@ -97,23 +97,19 @@ class TruncSeries:
         return f"TruncSeries[Q]({head}{tail}; order={self.order})"
 
 
-def _exp_ode(h: TruncSeries) -> TruncSeries:
-    """exp of a series with zero constant term, by n e_n = sum k h_k e_{n-k}."""
-    e = [Fraction(1)]
-    for n in range(1, h.order + 1):
-        acc = Fraction(0)
-        for k in range(1, n + 1):
-            acc += k * h.coeffs[k] * e[n - k]
-        e.append(acc / n)
-    return TruncSeries(e)
-
-
 def gexp(f: TruncSeries) -> TruncSeries:
-    """Grouplike exponential exp(f) of a series with f(0) = 0.
+    """Grouplike exponential exp(f) of a series with f(0) = 0, by the ODE
+    n e_n = sum k f_k e_{n-k}.
 
     exp of a nonzero rational is not rational; mahler.from_gexp takes the
     p-adic exp of f(0) instead.
     """
     if f.constant() != 0:
         raise ValueError("exact gexp needs f(0) = 0; use mahler.from_gexp")
-    return _exp_ode(f)
+    e = [Fraction(1)]
+    for n in range(1, f.order + 1):
+        acc = Fraction(0)
+        for k in range(1, n + 1):
+            acc += k * f.coeffs[k] * e[n - k]
+        e.append(acc / n)
+    return TruncSeries(e)

@@ -16,7 +16,7 @@ from itertools import accumulate
 
 from .exact import INF, as_rational, vp_factorial
 from .padic import PadicContext, PadicNumber, congruent, zp_residue
-from .mahler import MahlerFn, Tail, _residues, convolve
+from .mahler import MahlerFn, Tail, _new, _record, convolve
 from .measure import dirac, integrate
 
 
@@ -46,15 +46,14 @@ def one_minus_x_pow(y, ctx: PadicContext, length: int) -> MahlerFn:
     exact = q is not None and q.denominator == 1 and 0 <= q <= length
     top = q.numerator if exact else length
     mod = p ** M
-    coeffs = []
+    res = [0] * (length + 1)
     c = 1
-    for n in range(length + 1):
-        coeffs.append(PadicNumber._make(ctx, 0, c, M) if n <= top else ctx.zero())
+    for n in range(top + 1):
+        res[n] = c
         c = c * (n - Y) % mod
-    if exact:
-        return MahlerFn(ctx, coeffs, Tail.exact())
-    return MahlerFn(ctx, coeffs,
-                    Tail(vp_factorial(length + 1, p), True, "factorial decay"))
+    rec = _record(p, 0, res, [M] * (top + 1) + [INF] * (length - top))
+    return _new(ctx, rec, Tail.exact() if exact else
+                Tail(vp_factorial(length + 1, p), True, "factorial decay"))
 
 
 def s_transform(phi: MahlerFn, y, length: int | None = None) -> MahlerFn:
@@ -124,7 +123,7 @@ class LValues:
     """phi(-1 - k) = p^shift * residues[k] + O(p^claim) for k = 0..K.
 
     shift <= 0 is the lowest stored coefficient valuation when that is
-    negative, so the residues are plain ints mod p^(claim - shift); norm is
+    negative, so the residues are plain ints, read mod p^(claim - shift); norm is
     phi.min_valuation(), which bounds the terms l_value leaves out.
     """
 
@@ -145,11 +144,11 @@ def l_values(phi: MahlerFn, K: int) -> LValues:
     modulus: one reduction per pass would cost more than the sums.
     """
     ctx = phi.ctx
-    M = phi._arith_precision()
+    shift, M, res, _, _ = phi._res
     if M == INF:
         M = ctx.precision
-    shift, mod, row = _residues(ctx, phi.coeffs, M)
-    row = [-a % mod if n % 2 else a for n, a in enumerate(row)]
+    mod = ctx.p ** max(0, M - shift)
+    row = [(-a if n % 2 else a) % mod for n, a in enumerate(res)]
     row.reverse()
     out = []
     for _ in range(K + 1):
@@ -159,13 +158,6 @@ def l_values(phi: MahlerFn, K: int) -> LValues:
             row = list(map(mod.__rmod__, row))
     return LValues(ctx, tuple(out), min(M, phi.tail.exponent), shift,
                    phi.min_valuation())
-
-
-def _as_lvalues(ctx: PadicContext, values: list, norm) -> LValues:
-    """Residue record of a list of PadicNumber values phi(-1 - k)."""
-    claim = min((v.abs_precision for v in values), default=INF)
-    shift, _, residues = _residues(ctx, values, min(claim, ctx.precision))
-    return LValues(ctx, tuple(residues), claim, shift, norm)
 
 
 def l_value(phi: MahlerFn | None, s, target: int | None = None,
@@ -188,8 +180,9 @@ def l_value(phi: MahlerFn | None, s, target: int | None = None,
     K = factorial_length_for(p, target)
     if values is None:
         values = l_values(phi, K)
-    elif not isinstance(values, LValues):
-        values = _as_lvalues(ctx, values, phi.min_valuation())
+    elif not isinstance(values, LValues):  # the list's residue record (empty stays empty)
+        shift, claim, residues, _, _ = MahlerFn(ctx, values, Tail.exact())._res
+        values = LValues(ctx, residues[:len(values)], claim, shift, phi.min_valuation())
     claim = min(values.claim, ctx.precision + values.shift)
     if values.norm != INF:
         claim = min(claim, vp_factorial(K + 1, p) + values.norm)
@@ -259,15 +252,9 @@ def parts_check(psi: AmiceElem, phi: MahlerFn, x, k: int | None = None) -> bool:
     where sigma is the unit shift.  Compares both sides mod p^k (defaulting
     to the weaker of the two precision claims).
     """
-    ctx = phi.ctx
-    left_fn = psi.star(phi.shift())
-    lhs = integrate(left_fn, dirac(x, ctx, left_fn.length))
-    a = psi.star(phi)
-    b = psi.d().star(phi)
-    xp = x + 1
-    rhs = integrate(a, dirac(xp, ctx, a.length)) - integrate(b, dirac(x, ctx, b.length))
-    if k is None:
-        k = min(lhs.abs_precision, rhs.abs_precision)
-        if k == INF:
-            k = ctx.precision
+    def pair(fn, at):  # int fn d delta_at
+        return integrate(fn, dirac(at, phi.ctx, fn.length))
+
+    lhs = pair(psi.star(phi.shift()), x)
+    rhs = pair(psi.star(phi), x + 1) - pair(psi.d().star(phi), x)
     return congruent(lhs, rhs, k)

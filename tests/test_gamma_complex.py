@@ -95,6 +95,26 @@ def test_psi_complex_negative_r():
             assert abs(psi_complex(float(r), m) - want) <= 1e-8 * max(1.0, abs(want))
 
 
+def test_psi_complex_far_below_zero():
+    # quad on [0, 1] used to miss the e^{rx} spike of width 1/|r| at x = 0,
+    # so these values came back 100% wrong (0.0 at r = -1e6)
+    for r in (Fraction(-30000), Fraction(-100000), Fraction(-1000000)):
+        for m in (0, 1, 3, 10, 30):
+            want = float(r ** m * psi_tilde(r, m))
+            assert rel_err(psi_complex(float(r), m), want) <= 1e-8, (r, m)
+
+
+def test_lgfn_far_below_zero_against_mpmath():
+    # the same spike in both branches of lgfn, s >= 0 and the u-substitution
+    with mpmath.workdps(30):
+        for s in (0, 2.5, -0.5, -0.9, complex(1.0, 3.0)):
+            for r in (-1e4, -1e6):
+                a = mpmath.mpmathify(s) + 1
+                lower = mpmath.power(r, a) / a * mpmath.hyp1f1(a, a + 1, -r)
+                want = complex(mpmath.exp(r) * lower)
+                assert abs(lgfn(s, r) - want) <= 1e-8 * abs(want), (s, r)
+
+
 def test_psi_complex_positive_matches_gfn():
     for r in (0.5, 2.0):
         for m in range(6):

@@ -8,7 +8,9 @@ mod the power it claims.  Coefficient valuations run over -2..3, so the
 p^shift-factored residue path sees negative shifts too.  principal_power
 and teichmuller are held to plain pow on the integer lifts of their inputs,
 and PadicNumber arithmetic to Fraction arithmetic on the lifts of its
-operands.
+operands.  The operator layer (integrate, dirac, add, scale,
+AmiceElem.to_mahler) and the L-values (l_value, Psi at a PadicNumber s)
+meet the same lift oracles.
 """
 
 import operator
@@ -18,12 +20,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from incgamma.exact import INF, falling, vp
+from incgamma.exact import INF, binom, falling, vp
+from incgamma.gamma_padic import Psi, psi_tilde
 from incgamma.mahler import ExactMahler, MahlerFn, Tail, convolve
 from incgamma.measure import dirac, integrate
 from incgamma.padic import (PadicContext, PadicNumber, congruent, principal_part,
                             principal_power, teichmuller)
-from incgamma.transform import one_minus_x_pow
+from incgamma.transform import AmiceElem, factorial_length_for, l_value, one_minus_x_pow
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 LIFTS = 3
@@ -315,3 +318,114 @@ def test_power_agrees_with_every_lift(data):
     got = x ** n
     for lift in lifts:
         assert agrees(got, lift ** n, ctx), (x, n, lift)
+
+
+@SETTINGS
+@given(st.data())
+def test_integrate_add_and_scale_agree_with_every_lift(data):
+    ctx = data.draw(contexts())
+    a, a_lifts = data.draw(expansions(ctx))
+    b, b_lifts = data.draw(expansions(ctx))
+    c, c_lifts = data.draw(numbers(ctx))
+    paired, total, scaled = integrate(a, b), a.add(b), a.scale(c)
+    for fa, fb, lc in zip(a_lifts, b_lifts, c_lifts):
+        top = max(fa.length, fb.length) + 2
+        exact = sum((fa.coeff(n) * fb.coeff(n) for n in range(top)), Fraction(0))
+        assert agrees(paired, exact, ctx), (a.coeffs, a.tail, b.coeffs, b.tail)
+        for n in range(top + 1):
+            exact = fa.coeff(n) + fb.coeff(n)
+            if n <= total.length:
+                assert agrees(total.coeffs[n], exact, ctx), (a.coeffs, b.coeffs, n)
+            else:
+                assert vp(exact, ctx.p) >= total.tail.exponent
+            if n <= scaled.length:
+                assert agrees(scaled.coeffs[n], lc * fa.coeff(n), ctx), (a.coeffs, c, n)
+            else:
+                assert vp(lc * fa.coeff(n), ctx.p) >= scaled.tail.exponent
+
+
+@SETTINGS
+@given(st.data())
+def test_dirac_moments_agree_with_every_lift(data):
+    ctx = data.draw(contexts())
+    x, xs = data.draw(points(ctx))
+    length = data.draw(st.integers(0, 45))
+    mu = dirac(x, ctx, length)
+    assert mu.length == length
+    finite = (not isinstance(x, PadicNumber) and xs[0].denominator == 1
+              and 0 <= xs[0] <= length)
+    assert (mu.tail == Tail.exact()) == finite
+    for n, c in enumerate(mu.coeffs):
+        assert c.is_exact_zero() == (finite and n > xs[0])
+        for lift in xs:
+            assert agrees(c, binom(lift, n), ctx), (x, n, lift)
+    for lift in xs:
+        for n in range(length + 1, length + 4):
+            assert vp(binom(lift, n), ctx.p) >= mu.tail.exponent
+
+
+@SETTINGS
+@given(st.data())
+def test_to_mahler_agrees_with_every_lift(data):
+    """(x - 1)^{*n} has Mahler coefficients (-1)^(n+k) (n)_k for every integer n."""
+    ctx = data.draw(contexts())
+    support = data.draw(st.lists(st.integers(-3, 6), min_size=1, max_size=4, unique=True))
+    drawn = [data.draw(numbers(ctx)) for _ in support]
+    length = data.draw(st.integers(0, 20))
+    got = AmiceElem(ctx, {n: c for n, (c, _) in zip(support, drawn)}).to_mahler(length)
+    for i in range(LIFTS):
+        def exact(k):
+            return sum((lifts[i] * (-1) ** ((n + k) % 2) * falling(n, k)
+                        for n, (_, lifts) in zip(support, drawn)), Fraction(0))
+        for k in range(length + 4):
+            if k <= got.length:
+                assert agrees(got.coeffs[k], exact(k), ctx), (support, drawn, k)
+            else:
+                assert vp(exact(k), ctx.p) >= got.tail.exponent
+
+
+@SETTINGS
+@given(st.data())
+def test_l_value_at_padic_s_agrees_with_every_lift(data):
+    """sum_(k <= K) (S)_k f(-1-k) over lifts S of s and f of phi: the terms
+    past K are divisible by p^(v_p((K+1)!) + norm), which the claim respects."""
+    ctx = data.draw(contexts())
+    phi, lifts = data.draw(expansions(ctx))
+    target = data.draw(st.integers(1, ctx.precision))
+    N = data.draw(st.integers(0, ctx.precision + 2))
+    X = data.draw(st.integers(0, ctx.p ** N - 1))
+    s = PadicNumber._make(ctx, 0, X, N)
+    got = l_value(phi, s, target=target)
+    assert got.abs_precision <= N + min(0, phi.min_valuation())
+    K = factorial_length_for(ctx.p, target)
+    for f in lifts:
+        values = [f.eval(-1 - k) for k in range(K + 1)]
+        for t in data.draw(st.lists(st.integers(-ctx.p ** 3, ctx.p ** 3),
+                                    min_size=LIFTS, max_size=LIFTS)):
+            S = X + ctx.p ** N * t
+            exact = sum((falling(S, k) * v for k, v in enumerate(values)), Fraction(0))
+            assert agrees(got, exact, ctx), (phi.coeffs, phi.tail, s, S)
+
+
+@SETTINGS
+@given(st.data())
+def test_psi_at_padic_s_interpolates_every_lift(data):
+    """Psi(r, s) for s known mod p^N agrees with <r>^m psi_tilde(m) at every
+    integer lift m >= 0 of s; <r> = r / omega(r), omega(r) = r^(p^A) mod p^A."""
+    ctx = PadicContext(data.draw(st.sampled_from((2, 3, 5, 7))), data.draw(st.integers(3, 10)))
+    p = ctx.p
+    num = data.draw(st.integers(-60, 60).filter(lambda a: a % p))
+    r = Fraction(num, data.draw(st.integers(1, 30).filter(lambda d: d % p)))
+    N = data.draw(st.integers(0, 4))
+    X = data.draw(st.integers(0, p ** N - 1))
+    got = Psi(r, PadicNumber._make(ctx, 0, X, N), ctx)
+    k = got.abs_precision
+    assert k <= min(ctx.precision, N + 1)
+    A = ctx.precision + 4
+    mod = p ** A
+    R = r.numerator * pow(r.denominator, -1, mod) % mod
+    twist = R * pow(pow(R, p ** A, mod), -1, mod) % mod  # <r> mod p^A
+    for t in range(LIFTS):
+        m = X + p ** N * t
+        want = pow(twist, m, mod) * psi_tilde(r, m)
+        assert agrees(got, want, ctx), (r, X, N, m)
