@@ -25,7 +25,7 @@ import sys
 from .exact import INF, as_rational
 from .padic import PadicContext, PrecisionError, congruent, principal_part
 from .gamma_padic import (CompatibilityError, PlaceExcludedError, Psi,
-                          functional_eq_parts, psi_tilde_values)
+                          functional_eq_parts, psi_tilde_values, require_unit)
 from .gamma_complex import DEFAULT_QUAD, gfn, mellin_fe_residual, psi_complex
 
 
@@ -110,7 +110,7 @@ def _cmd_interp_check(args):
     params = {"r": str(r), "m_max": args.m_max}
     if args.p is not None:
         ctx = PadicContext(args.p, args.prec)
-        pr = principal_part(ctx.number(r))
+        pr = principal_part(ctx.number(require_unit(r, args.p)))
         params.update({"p": args.p, "prec": args.prec})
         for m in range(args.m_max + 1):
             val = Psi(r, m, ctx)

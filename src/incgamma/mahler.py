@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import accumulate, zip_longest
 from operator import add, mul
 from typing import NamedTuple
 
@@ -155,11 +155,12 @@ def _record(p: int, shift: int, res, claims) -> _Residues:
     """Record of a_n = p^shift res[n] + O(p^claims[n]): each res[n] reduced,
     the valuations read off the ints, shift moved to min(0, lowest one)."""
     mods = {A: p ** (A - shift) if shift < A < INF else 1 for A in set(claims)}
-    res = [r % mods[A] for r, A in zip(res, claims)]
+    ms = list(map(mods.__getitem__, claims))
+    res = list(map(int.__mod__, res, ms))
     # a nonzero r mod p^k has gcd(r, p^k) = p^vp(r)
     top = max(mods.values())
     log = {p ** k: k for k in range(top.bit_length())}
-    vals = [shift + log[math.gcd(r, mods[A])] if r else A for r, A in zip(res, claims)]
+    vals = [shift + log[g] if r else A for r, A, g in zip(res, claims, map(math.gcd, res, ms))]
     low = min(0, shift + log[math.gcd(math.gcd(*res), top)]) if any(res) else 0
     if low != shift:
         d = p ** abs(low - shift)
@@ -229,58 +230,11 @@ class MahlerFn:
         x may be an int, a Fraction with p-free denominator, or a
         PadicNumber of valuation >= 0 (evaluated at its full integer lift).
         Reported precision is min(coefficient precision, tail exponent);
-        at a PadicNumber known mod p^N, also at most _point_claim(N).
+        at a PadicNumber known mod p^N, also at most the claim that every
+        lift allows (see _line, whose k = 0 value this is).
         """
-        ctx = self.ctx
-        M = self._res.M
-        if isinstance(x, PadicNumber):
-            if not x.is_exact_zero() and x.valuation < 0:
-                raise ValueError("evaluation point must lie in Z_p")
-            M = min(M, x.abs_precision)
-            val = self._eval_int_mod(x.lift(), ctx.precision if M == INF else M)
-            if x.abs_precision == INF:
-                return val
-            cap = self._point_claim(x.abs_precision)
-            return val + PadicNumber(ctx, cap, 0, cap) if cap < val.abs_precision else val
-        x = as_rational(x)
-        if x.denominator % ctx.p == 0:
-            raise ValueError("evaluation point must lie in Z_p")
-        if M == INF:
-            M = ctx.precision
-        if x.denominator == 1:
-            return self._eval_int_mod(x.numerator, M)
-        # X == x mod p^N gives binom(X, n) == binom(x, n) mod p^(N - floor(log_p
-        # n)), at least p^(M - shift) for every stored n; adding p^N puts X
-        # above the stored length, so every term enters
-        N = M - min(0, self.min_valuation()) + digit_count(self.length + 1, ctx.p)
-        X, _ = zp_residue(x, ctx, N)
-        return self._eval_int_mod(X + ctx.p ** N, M)
-
-    def _point_claim(self, N: int):
-        """Claim of phi(x) for x known only mod p^N.
-
-        Each lift of x is X + p^N t, and by Vandermonde binom(X + p^N t, n)
-        - binom(X, n) = sum_(j>=1) binom(p^N t, j) binom(X, n - j) has
-        valuation >= N - floor(log_p n).  So term n claims
-        v(a_n) + N - floor(log_p n), and the unstored terms, which other
-        lifts reach, claim the tail exponent.
-        """
-        p = self.ctx.p
-        _, _, res, _, vals = self._res
-        terms = (v + N - digit_count(n, p) + 1
-                 for n, (r, v) in enumerate(zip(res, vals)) if n and r)
-        return min(self.tail.exponent, min(terms, default=INF))
-
-    def _eval_int_mod(self, X: int, M) -> PadicNumber:
-        # binom(X, n) = 0 beyond X >= 0, so only a_0..a_X enter
-        stop = min(self.length, X) if X >= 0 else self.length
-        shift, _, res, _, _ = self._res
-        binoms = [1]  # binom(X, n), exact integers
-        for n in range(stop):
-            binoms.append(binoms[-1] * (X - n) // (n + 1))
-        claim = M if 0 <= X <= self.length else min(M, self.tail.exponent)
-        mod = self.ctx.p ** max(0, M - shift)
-        return PadicNumber._make(self.ctx, shift, sum(map(mul, res, binoms)) % mod, claim)
+        shift, (value,), (claim,) = _line(self, x, 0)
+        return PadicNumber._make(self.ctx, shift, value, claim)
 
     # -- shift algebra -----------------------------------------------------
 
@@ -347,6 +301,60 @@ def _joint_length(a: MahlerFn, b: MahlerFn, exact: int) -> int:
     return min((f.length for f in (a, b) if f.tail.exponent != INF), default=exact)
 
 
+def _line(phi: MahlerFn, x, K: int):
+    """(shift, res, claims) with phi(x - k) = p^shift res[k] + O(p^claims[k])
+    for k = 0..K, as eval claims it at x - k formed as x's type forms it (a
+    PadicNumber x keeps its precision N; at an exact zero one, k coerces to
+    precision + v_p(k) + 4).
+
+    phi(x) = sum a_n binom(X, n), X a lift of x; lifts X + p^N t move
+    binom(X, n) by valuation >= N - floor(log_p n), which caps the claim at
+    a PadicNumber (a Fraction's N puts the moves below p^(M - shift)).  With
+    a'_n = (-1)^n a_n, phi(x - k) is the dot of (-1)^n binom(X + 1, n) with
+    the a'_n after k + 1 suffix-sum passes: one C-level pass per k, reduced
+    mod p^(M - shift) once the total passes its square.
+    """
+    ctx, L, T = phi.ctx, phi.length, phi.tail.exponent
+    p, prec = ctx.p, ctx.precision
+    shift, M, res, _, vals = phi._res
+    W = prec if M == INF else M
+    if isinstance(x, PadicNumber):
+        if not x.is_exact_zero() and x.valuation < 0:
+            raise ValueError("evaluation point must lie in Z_p")
+        moved = min((v - digit_count(n, p) + 1 for n, (r, v) in enumerate(zip(res, vals))
+                     if n and r), default=INF)
+        X, N = x.lift(), x.abs_precision
+        Ns = [N] * (K + 1) if N != INF else [prec + _vp(k, p) + 4 for k in range(K + 1)]
+        claims = [W if Nk == INF else min(M, Nk, T, Nk + moved) for Nk in Ns]  # INF: 0 - 0
+        W = max(W, max(claims))
+    else:
+        x = as_rational(x)
+        if x.denominator % p == 0:
+            raise ValueError("evaluation point must lie in Z_p")
+        X, top = x.numerator, L
+        if x.denominator != 1:  # then no x - k is an integer in [0, L]
+            N = W - min(0, phi.min_valuation()) + digit_count(L + 1, p)
+            X, top = zp_residue(x, ctx, N)[0], -1
+        claims = [W if 0 <= X - k <= top else min(W, T) for k in range(K + 1)]
+    mod = p ** max(0, W - shift)
+    if not K:  # phi(x) alone: one dot with the exact binom(X, n), 0 past X >= 0
+        row = [1]
+        for n in range(min(L, X) if X >= 0 else L):
+            row.append(row[-1] * (X - n) // (n + 1))
+        return shift, [sum(map(mul, res, row)) % mod], claims
+    row = [1]  # (-1)^n binom(X + 1, n) = binom(n - X - 2, n), 0 past X + 1 >= 0
+    for n in range(min(L, X + 1) if X >= -1 else L):
+        row.append(row[-1] * (n - X - 1) // (n + 1))
+    row = list(map(mod.__rmod__, reversed(row)))
+    b, out = [(-a if n % 2 else a) % mod for n, a in enumerate(res)][::-1], []
+    for _ in range(K + 1):
+        b = list(accumulate(b))
+        out.append(sum(map(mul, b[L + 1 - len(row):], row)) % mod)
+        if b[-1] >= mod * mod:
+            b = list(map(mod.__rmod__, b))
+    return shift, out, claims
+
+
 def convolve(a: MahlerFn, b: MahlerFn) -> MahlerFn:
     """Multiplicative convolution: c_n = sum_k binom(n,k) a_k b_{n-k}.
 
@@ -354,9 +362,10 @@ def convolve(a: MahlerFn, b: MahlerFn) -> MahlerFn:
     shortest certain range.  With both factors known mod p^M and factored
     as p^sa, p^sb times residues (sa, sb <= 0), every c_n claims
     M + min(sa, sb).  Only k up to the last nonzero residue of the factor
-    whose support ends first enters: the Pascal row stops there, and each
-    c_n is one C-level sum.  The output tail pairs each factor's tail
-    beyond index floor(K/2) with the other factor's norm.
+    whose support ends first enters: the Pascal row stops there, is reduced
+    only once its middle entry passes the squared modulus, and each c_n is
+    one C-level sum.  The tail pairs each factor's tail beyond index
+    floor(K/2) with the other factor's norm.
     """
     if a.ctx.p != b.ctx.p:
         raise ValueError("mixed primes")
@@ -372,11 +381,13 @@ def convolve(a: MahlerFn, b: MahlerFn) -> MahlerFn:
     if eb < ea:
         ra, rb, ea = rb, ra, eb
     rev = (rb + [0] * (K_out + 1 - len(rb)))[::-1]  # rev[K_out - j] = b_j
-    out = []
-    row = [1]  # binom(n, k) mod p^(M - max(sa, sb)) for k <= min(n, ea)
+    out, lim = [], mod * mod
+    row = [1]  # binom(n, k) for k <= min(n, ea), reduced once the middle passes lim
     for n in range(K_out + 1):
-        out.append(sum(map(mul, map(mul, row, ra), rev[K_out - n:K_out - n + ea + 1])) % mod)
-        row = [1, *map(mod.__rmod__, map(add, row, row[1:])), 1][:ea + 1]
+        out.append(sum(map(mul, row, map(mul, ra, rev[K_out - n:K_out - n + ea + 1]))) % mod)
+        row = [1, *map(add, row, row[1:]), 1][:ea + 1]
+        if len(row) > 2 and row[len(row) // 2] >= lim:
+            row = list(map(mod.__rmod__, row))
     half = K_out // 2
     texp = min(a.valuation_beyond(half) + b.min_valuation(),
                b.valuation_beyond(half) + a.min_valuation())
@@ -442,12 +453,13 @@ def _gexp_kernel(ctx: PadicContext, weights: list, length: int, want: int,
     weights[k-1] = w_k = k! g_k mod p^M, where g = f - f(0) - t.  The EGF
     coefficients d_n of exp(g) obey the exp ODE in the form
         d_n = sum_{k=1}^{min(n, deg)} w_k binom(n-1, k-1) d_{n-k},
-    which never divides, so the recurrence runs on plain residues; trailing
-    zero weights are dropped first so deg only counts the live ones.  The
-    stored coefficients are head * d_n for n <= length, each claiming
-    O(p^M); head is the residue of exp(f(0)).  The tail is the gexp
-    certificate, or the heuristic window when that is stronger and the
-    certificate falls short of want, the tail exponent asked for.
+    which never divides, so the recurrence runs on plain residues, with the
+    Pascal row updated by one C-level add and reduced mod p^M only once its
+    middle entry passes p^(2M); trailing zero weights are dropped first so
+    deg only counts the live ones.  The stored coefficients are head * d_n
+    for n <= length, each claiming O(p^M); head is the residue of
+    exp(f(0)).  The tail is the gexp certificate, or the heuristic window
+    when that is stronger and the certificate falls short of want.
     """
     p, M = ctx.p, ctx.precision
     mod = p ** M
@@ -455,11 +467,14 @@ def _gexp_kernel(ctx: PadicContext, weights: list, length: int, want: int,
     while len(w) > 1 and w[-1] == 0:
         w.pop()
     deg = len(w) - 1
-    row = [0, 1] + [0] * (deg - 1)  # row[k] = binom(n-1, k-1) mod p^M
+    lim = mod * mod
+    row = [0, 1] + [0] * (deg - 1)  # row[k] = binom(n-1, k-1), reduced past lim
     d = [1]
     for n in range(1, length + 1):
         top = min(n, deg)
-        row[2:top + 1] = [(a + b) % mod for a, b in zip(row[2:top + 1], row[1:top])]
+        row[2:top + 1] = map(add, row[2:top + 1], row[1:top])
+        if top > 2 and row[(top + 1) // 2] >= lim:
+            row = list(map(mod.__rmod__, row))
         # sum over k = 1..top of w_k row_k d_(n-k)
         terms = map(mul, map(mul, w[1:top + 1], row[1:top + 1]), reversed(d[n - top:n]))
         d.append(sum(terms) % mod)

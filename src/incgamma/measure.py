@@ -15,7 +15,7 @@ from operator import add, mul
 
 from .exact import INF, _vp, as_rational, digit_count
 from .padic import PadicContext, PadicNumber
-from .mahler import MahlerFn, Tail, _joint_length, _new, _record
+from .mahler import MahlerFn, Tail, _joint_length, _line, _new, _record
 
 
 def dirac(x, ctx: PadicContext, length: int) -> MahlerFn:
@@ -26,7 +26,7 @@ def dirac(x, ctx: PadicContext, length: int) -> MahlerFn:
     int or a Fraction (M = precision) a moment claims M + v, as ctx.number
     would; past an integer 0 <= x <= length they are exact zeros, with an
     exact tail.  At a PadicNumber x known mod p^M the moment binom(x, n) is
-    fixed only mod p^(M - floor(log_p n)) (see MahlerFn._point_claim).
+    fixed only mod p^(M - floor(log_p n)) (see mahler._line).
     """
     p, M = ctx.p, ctx.precision
     padic = isinstance(x, PadicNumber)
@@ -67,11 +67,20 @@ def mu_psi_x(psi: MahlerFn, x, length: int | None = None) -> MahlerFn:
     Pairing phi against it computes the convolution value (psi * phi)(x).
     """
     base = dirac(x, psi.ctx, psi.length if length is None else length)
-    coeffs = [b * psi.eval(x - n) for n, b in enumerate(base.coeffs)]
     e = psi.min_valuation()
     texp = base.tail.exponent + (e if e != INF else 0)
     certified = base.tail.certified and psi.tail.certified
-    return MahlerFn(psi.ctx, coeffs, Tail(texp, certified, "twisted Dirac"))
+    return _new(psi.ctx, _twisted(psi, x, base), Tail(texp, certified, "twisted Dirac"))
+
+
+def _twisted(psi: MahlerFn, x, base: MahlerFn):
+    """Record of binom(x, n) psi(x - n), n <= K, base = dirac(x, ., K): each
+    claims min(B_n + v(psi(x - n)), A_n + v(binom)) as PadicNumber products
+    do, and an exact-zero moment gives an exact zero."""
+    _, _, B, Bc, Bv = base._res
+    shift, _, E, Ec, Ev = _record(psi.ctx.p, *_line(psi, x, base.length))
+    claims = [INF if b == INF else min(b + e, c + w) for b, w, c, e in zip(Bc, Bv, Ec, Ev)]
+    return _record(psi.ctx.p, shift, list(map(mul, B, E)), claims)
 
 
 def integrate(phi: MahlerFn, mu: MahlerFn) -> PadicNumber:

@@ -12,12 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
 
-from .exact import INF, as_rational, vp_factorial
+from .exact import INF, _vp, as_rational, vp_factorial
 from .padic import PadicContext, PadicNumber, congruent, zp_residue
-from .mahler import MahlerFn, Tail, _new, _record, convolve
-from .measure import dirac, integrate
+from .mahler import MahlerFn, Tail, _line, _new, _record, convolve
+from .measure import _twisted, dirac, integrate
 
 
 @lru_cache(maxsize=256)  # a warm Psi neither searches nor re-checks p
@@ -76,46 +75,56 @@ def two_var(phi: MahlerFn, x, y, target: int | None = None) -> PadicNumber:
     """Direct value sum_k (-1)^k (y)_k binom(x, k) phi(x - k).
 
     Agrees with s_transform(phi, y).eval(x) but needs no intermediate
-    expansion; the sum is cut once v_p((k)!) clears the target.
+    expansion; the sum is cut once v_p((k)!) clears the target.  On residues
+    claimed as PadicNumber arithmetic claims: factors k - y are known mod
+    p^min(M + v_p(k), A_y), products min(A1 + v2, A2 + v1) (an O(p^A) has
+    valuation A), and the sum its least claim that is not an exact zero's.
     """
-    ctx = phi.ctx
-    if target is None:
-        target = ctx.precision
-    K = factorial_length_for(ctx.p, target)
+    ctx, p, M = phi.ctx, phi.ctx.p, phi.ctx.precision
+    K = factorial_length_for(p, M if target is None else target)
     yy = y if isinstance(y, PadicNumber) else ctx.number(as_rational(y))
     if not yy.is_exact_zero() and yy.valuation < 0:
         raise ValueError("exponent must lie in Z_p")
-    binoms = dirac(x, ctx, K).coeffs
-    acc = ctx.zero()
-    fall = ctx.one()  # (-1)^k (y)_k
-    for k in range(K + 1):
-        acc = acc + fall * binoms[k] * phi.eval(x - k)
-        fall = fall * (ctx.number(k) - yy)
+    shift, _, res, claims, vals = _twisted(phi, x, dirac(x, ctx, K))
+    F, vf, Af, Y = 1, 0, M, yy.lift()  # (-1)^k (y)_k = F + O(p^Af) of valuation vf
+    total, claim = 0, INF
+    for k, (r, A, v) in enumerate(zip(res, claims, vals)):
+        if A != INF:
+            claim = min(claim, Af + v, A + vf)
+            total += F * r
+        c = min(M + _vp(k, p), yy.abs_precision)  # INF only at k = y = 0
+        if c == INF:
+            break
+        D = (k - Y) % p ** c
+        w = _vp(D, p) if D else c
+        vf, Af = vf + w, min(Af + w, c + vf)
+        F = F * D % p ** Af
     e = phi.min_valuation()
     if e != INF:
-        T = vp_factorial(K + 1, ctx.p) + e
-        acc = acc + PadicNumber(ctx, T, 0, T)
-    return acc
+        claim = min(claim, vp_factorial(K + 1, p) + e)
+    return PadicNumber._make(ctx, shift, total, claim)
 
 
 def l_x(phi: MahlerFn, x, length: int | None = None) -> MahlerFn:
     """y -> S^y(phi)(x) as an expansion in y.
 
     Its Mahler coefficients are (-1)^k k! binom(x, k) phi(x - k); the
-    factorial keeps the tail certified without any division.
+    factorial keeps the tail certified without any division.  The int
+    (-1)^k k! claims as coercion pads it: v_p(k!) + 4 past its factor's claim.
     """
-    ctx = phi.ctx
+    ctx, p = phi.ctx, phi.ctx.p
     if length is None:
-        length = factorial_length_for(ctx.p, ctx.precision)
-    binoms = dirac(x, ctx, length).coeffs
-    coeffs = []
-    t = 1  # (-1)^k k!
-    for k in range(length + 1):
-        coeffs.append(binoms[k] * phi.eval(x - k) * t)
-        t *= -(k + 1)
+        length = factorial_length_for(p, ctx.precision)
+    rec = _twisted(phi, x, dirac(x, ctx, length))
+    res, claims, t, vt = [], [], 1, 0  # t = (-1)^k k!, vt = v_p(k!)
+    for k, (r, A, v) in enumerate(zip(rec.res, rec.claims, rec.vals)):
+        res.append(r * t)
+        claims.append(A + vt + min(0, 4 + v))
+        t, vt = -(k + 1) * t, vt + _vp(k + 1, p)
     e = phi.min_valuation()
-    texp = INF if e == INF else vp_factorial(length + 1, ctx.p) + e
-    return MahlerFn(ctx, coeffs, Tail(texp, phi.tail.certified, "factorial decay"))
+    texp = INF if e == INF else vp_factorial(length + 1, p) + e
+    return _new(ctx, _record(p, rec.shift, res, claims),
+                Tail(texp, phi.tail.certified, "factorial decay"))
 
 
 @dataclass(frozen=True)
@@ -135,29 +144,11 @@ class LValues:
 
 
 def l_values(phi: MahlerFn, K: int) -> LValues:
-    """phi(-1 - k) for k = 0..K, each claiming min(M, tail) as MahlerFn.eval does.
-
-    binom(-1 - k, n) = (-1)^n binom(n + k, k), so with a'_n = (-1)^n a_n
-    the value phi(-1 - k) is the total after k + 1 suffix-sum passes over
-    the a'_n.  Every pass runs on plain ints, reduced mod p^(M - shift)
-    only once the total, the largest entry, passes the square of that
-    modulus: one reduction per pass would cost more than the sums.
-    """
-    ctx = phi.ctx
-    shift, M, res, _, _ = phi._res
-    if M == INF:
-        M = ctx.precision
-    mod = ctx.p ** max(0, M - shift)
-    row = [(-a if n % 2 else a) % mod for n, a in enumerate(res)]
-    row.reverse()
-    out = []
-    for _ in range(K + 1):
-        row = list(accumulate(row))
-        out.append(row[-1] % mod)
-        if row[-1] >= mod * mod:
-            row = list(map(mod.__rmod__, row))
-    return LValues(ctx, tuple(out), min(M, phi.tail.exponent), shift,
-                   phi.min_valuation())
+    """phi(-1 - k) for k = 0..K, each claiming min(M, tail) as MahlerFn.eval
+    does: the x = -1 case of mahler._line, whose row is then (1,), so each
+    value is the total of one C-level suffix-sum pass."""
+    shift, residues, claims = _line(phi, -1, K)
+    return LValues(phi.ctx, tuple(residues), claims[0], shift, phi.min_valuation())
 
 
 def l_value(phi: MahlerFn | None, s, target: int | None = None,
@@ -227,12 +218,21 @@ class AmiceElem:
                          {n - 1: c * n for n, c in self.coeffs.items() if n != 0})
 
     def to_mahler(self, length: int) -> MahlerFn:
-        """Expand through the given length using (x-1)^{*n} = (-1)^n (1-x)^{*n}."""
-        out = MahlerFn(self.ctx, [self.ctx.zero()], Tail.exact())
-        for n in sorted(self.coeffs):
-            c = self.coeffs[n] if n % 2 == 0 else -self.coeffs[n]
-            out = out.add(one_minus_x_pow(n, self.ctx, length).scale(c))
-        return out
+        """Expand through the given length using (x-1)^{*n} = (-1)^n (1-x)^{*n}:
+        one pass over the residues, claimed as MahlerFn.scale and add claim."""
+        ctx = self.ctx
+        if not self.coeffs:
+            return MahlerFn(ctx, [ctx.zero()], Tail.exact())
+        low = min(c.valuation for c in self.coeffs.values())
+        res, claims, texp = [0] * (length + 1), [INF] * (length + 1), INF
+        for n, c in self.coeffs.items():
+            g, v = one_minus_x_pow(n, ctx, length), c.valuation
+            u = (-1 if n % 2 else 1) * c.unit * ctx.p ** (v - low)
+            res = [a + r * u for a, r in zip(res, g._res.res)]
+            claims = [min(a, A + v, c.abs_precision + w)
+                      for a, A, w in zip(claims, g._res.claims, g._res.vals)]
+            texp = min(texp, g.tail.exponent + v)
+        return _new(ctx, _record(ctx.p, low, res, claims), Tail(texp, True, "sum"))
 
     def star(self, phi: MahlerFn) -> MahlerFn:
         """Convolve this element's expansion against phi."""
@@ -255,6 +255,7 @@ def parts_check(psi: AmiceElem, phi: MahlerFn, x, k: int | None = None) -> bool:
     def pair(fn, at):  # int fn d delta_at
         return integrate(fn, dirac(at, phi.ctx, fn.length))
 
-    lhs = pair(psi.star(phi.shift()), x)
-    rhs = pair(psi.star(phi), x + 1) - pair(psi.d().star(phi), x)
+    g = psi.to_mahler(factorial_length_for(psi.ctx.p, 2 * psi.ctx.precision))
+    lhs = pair(convolve(g, phi.shift()), x)
+    rhs = pair(convolve(g, phi), x + 1) - pair(psi.d().star(phi), x)
     return congruent(lhs, rhs, k)

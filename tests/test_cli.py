@@ -123,10 +123,14 @@ def test_func_eq_deterministic(capsys):
 
 
 def test_place_excluded_exit(capsys):
-    code, _, err = run(capsys, "eval", "--side", "padic", "--r", "3",
-                       "--s", "1", "--p", "3")
-    assert code == 2
-    assert "unit" in err
+    # both commands name the valuation, not the Teichmuller character
+    for argv, why in ((("eval", "--side", "padic", "--r", "3", "--s", "1", "--p", "3"),
+                       "v_3(3) = 1"),
+                      (("interp-check", "--r", "2", "--p", "2"), "v_2(2) = 1"),
+                      (("interp-check", "--r", "1/2", "--p", "2"), "v_2(1/2) = -1")):
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert why in err and "teichmuller" not in err
 
 
 def test_incompatible_weight_exit(capsys):

@@ -9,10 +9,14 @@ p^shift-factored residue path sees negative shifts too.  principal_power
 and teichmuller are held to plain pow on the integer lifts of their inputs,
 and PadicNumber arithmetic to Fraction arithmetic on the lifts of its
 operands.  The operator layer (integrate, dirac, add, scale,
-AmiceElem.to_mahler) and the L-values (l_value, Psi at a PadicNumber s)
-meet the same lift oracles.
+AmiceElem.to_mahler, the values along x - k, two_var, l_x, convolutions and
+gexp kernels long enough for their lazily reduced Pascal rows) and the
+L-values (l_value, Psi at a PadicNumber s) meet the same lift oracles, and
+p_exp meets Fraction partial sums.  The residue operators that replaced
+PadicNumber chains are also held to those chains, claims included.
 """
 
+import math
 import operator
 import random
 from fractions import Fraction
@@ -20,21 +24,23 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from incgamma.exact import INF, binom, falling, vp
-from incgamma.gamma_padic import Psi, psi_tilde
-from incgamma.mahler import ExactMahler, MahlerFn, Tail, convolve
-from incgamma.measure import dirac, integrate
-from incgamma.padic import (PadicContext, PadicNumber, congruent, principal_part,
-                            principal_power, teichmuller)
-from incgamma.transform import AmiceElem, factorial_length_for, l_value, one_minus_x_pow
+from incgamma.exact import INF, binom, falling, vp, vp_factorial
+from incgamma.gamma_padic import Psi, f_r_series, phi_fr, poly_gexp, psi_tilde
+from incgamma.mahler import ExactMahler, MahlerFn, Tail, _line, convolve
+from incgamma.measure import dirac, integrate, mu_psi_x
+from incgamma.padic import (DivergentSeriesError, PadicContext, PadicNumber, congruent,
+                            p_exp, principal_part, principal_power, teichmuller)
+from incgamma.transform import (AmiceElem, factorial_length_for, l_value, l_x,
+                                one_minus_x_pow, two_var)
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 LIFTS = 3
 
 
 @st.composite
-def expansions(draw, ctx):
-    """(stored MahlerFn, LIFTS exact ExactMahler lifts of it)."""
+def expansions(draw, ctx, low=-2):
+    """(stored MahlerFn, LIFTS exact ExactMahler lifts of it); coefficient
+    valuations run over low..3."""
     p = ctx.p
     coeffs = []  # (rational q, absolute precision A or None for an exact zero)
     for _ in range(draw(st.integers(1, 7))):
@@ -46,7 +52,7 @@ def expansions(draw, ctx):
         if kind == "O":
             coeffs.append((Fraction(0), A))
             continue
-        v = draw(st.integers(-2, 3))
+        v = draw(st.integers(low, 3))
         unit = draw(st.integers(1, p ** 4).filter(lambda u: u % p))
         den = draw(st.sampled_from((1, 1, p + 1, 2 * p - 1)))
         coeffs.append((Fraction(unit, den) * Fraction(p) ** v, A))
@@ -429,3 +435,199 @@ def test_psi_at_padic_s_interpolates_every_lift(data):
         m = X + p ** N * t
         want = pow(twist, m, mod) * psi_tilde(r, m)
         assert agrees(got, want, ctx), (r, X, N, m)
+
+
+@st.composite
+def line_points(draw, ctx):
+    """points() plus the exact zero PadicNumber and non-integral Fractions
+    whose residue mod a high power of p is a small integer."""
+    kind = draw(st.sampled_from(("drawn", "zero", "near")))
+    if kind == "zero":
+        return ctx.zero(), [Fraction(0)]
+    if kind == "near":
+        d = ctx.p + 1
+        x = Fraction(draw(st.integers(-2, 8)) * d + ctx.p ** (ctx.precision + 30), d)
+        return x, [x]
+    return draw(points(ctx))
+
+
+@settings(SETTINGS, max_examples=100)
+@given(st.data())
+def test_line_is_eval_along_x_minus_k(data):
+    """_line gives eval(x - k) in value and claim, and each value agrees
+    with every lift of phi at every lift of x - k."""
+    ctx = data.draw(contexts())
+    phi, lifts = data.draw(expansions(ctx))
+    x, xs = data.draw(line_points(ctx))
+    K = data.draw(st.integers(0, 12))
+    shift, res, claims = _line(phi, x, K)
+    assert len(res) == len(claims) == K + 1
+    if not isinstance(x, PadicNumber):  # M, or min(M, tail) off the integers 0..length
+        M = ctx.precision if phi._res.M == INF else phi._res.M
+        inside = [Fraction(x).denominator == 1 and 0 <= x - k <= phi.length for k in range(K + 1)]
+        assert claims == [M if i else min(M, phi.tail.exponent) for i in inside]
+    for k, (r, A) in enumerate(zip(res, claims)):
+        got = PadicNumber._make(ctx, shift, r, A)
+        assert got == phi.eval(x - k), (phi.coeffs, phi.tail, x, k)
+        for f in lifts:
+            for lift in xs:
+                assert agrees(got, f.eval(lift - k), ctx), (phi.coeffs, x, k, lift)
+
+
+@settings(SETTINGS, max_examples=75)
+@given(st.data())
+def test_two_var_and_l_x_agree_with_every_lift(data):
+    """two_var is sum_(k <= K) (-1)^k (y)_k binom(x, k) f(x - k) on lifts;
+    the terms past K have valuation >= v_p((K+1)!) + norm, which the claim
+    respects.  l_x's coefficients are (-1)^k k! binom(x, k) f(x - k)."""
+    ctx = data.draw(contexts())
+    phi, lifts = data.draw(expansions(ctx))
+    x, xs = data.draw(line_points(ctx))
+    y, ys, _ = data.draw(exponents(ctx))
+    target = data.draw(st.integers(1, ctx.precision))
+    length = data.draw(st.integers(0, 12))
+    got, fn = two_var(phi, x, y, target=target), l_x(phi, x, length=length)
+    K = factorial_length_for(ctx.p, target)
+    for f, X, Y in zip(lifts, xs * LIFTS, ys * LIFTS):
+        exact = sum(((-1) ** k * falling(Y, k) * binom(X, k) * f.eval(X - k)
+                     for k in range(K + 1)), Fraction(0))
+        assert agrees(got, exact, ctx), (phi.coeffs, phi.tail, x, y, X, Y)
+        for k in range(length + 4):
+            c = (-1) ** k * falling(k, k) * binom(X, k) * f.eval(X - k)
+            if k <= fn.length:
+                assert agrees(fn.coeffs[k], c, ctx), (phi.coeffs, x, k, X)
+            else:
+                assert vp(c, ctx.p) >= fn.tail.exponent
+
+
+@st.composite
+def long_expansions(draw, ctx):
+    """(exact-tailed MahlerFn of length 15..40, LIFTS ExactMahler lifts):
+    long enough that the Pascal rows of convolve pass p^(2M)."""
+    p = ctx.p
+    coeffs = [(Fraction(u, den) * Fraction(p) ** v, A) for u, den, v, A in draw(st.lists(
+        st.tuples(st.integers(-p ** 4, p ** 4), st.sampled_from((1, p + 1)),
+                  st.integers(-1, 2), st.integers(1, ctx.precision)),
+        min_size=16, max_size=41))]
+    stored = MahlerFn(ctx, [ctx.number(q, abs_prec=A) if q else PadicNumber(ctx, A, 0, A)
+                            for q, A in coeffs], Tail.exact())
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    return stored, [ExactMahler([q + Fraction(p) ** A * rng.randint(-p, p) for q, A in coeffs])
+                    for _ in range(LIFTS)]
+
+
+@settings(SETTINGS, max_examples=20)
+@given(st.data())
+def test_long_convolve_agrees_with_every_lift_in_both_orders(data):
+    ctx = PadicContext(data.draw(st.sampled_from((2, 3, 5))), data.draw(st.integers(2, 5)))
+    a, a_lifts = data.draw(long_expansions(ctx))
+    b, b_lifts = data.draw(long_expansions(ctx))
+    for c in (convolve(a, b), convolve(b, a)):
+        assert c.length == a.length + b.length
+        for fa, fb in zip(a_lifts, b_lifts):
+            exact = fa.convolve(fb)
+            for n in range(c.length + 1):
+                assert agrees(c.coeffs[n], exact.coeff(n), ctx), (n, c.coeffs[n])
+
+
+def gexp_coefficients(g: list, length: int) -> list:
+    """d_0..d_length of exp(sum_k g_k t^k) = sum d_n t^n / n!, by the
+    Fraction recurrence d_n = sum_k k! g_k binom(n-1, k-1) d_(n-k)."""
+    w = [math.factorial(k) * c for k, c in enumerate(g, start=1)]
+    d = [Fraction(1)]
+    for n in range(1, length + 1):
+        d.append(sum((w[k - 1] * math.comb(n - 1, k - 1) * d[n - k]
+                      for k in range(1, min(n, len(w)) + 1)), Fraction(0)))
+    return d
+
+
+@settings(SETTINGS, max_examples=60)
+@given(st.data())
+def test_long_gexp_kernels_match_the_fraction_recurrence(data):
+    """phi_fr and poly_gexp past the first lazy reduction of the kernel's
+    Pascal row: every stored coefficient is d_n mod p^M, and a certified
+    tail bounds the next exact d_n."""
+    ctx = PadicContext(data.draw(st.sampled_from((2, 3, 5))), data.draw(st.integers(2, 5)))
+    p, M = ctx.p, ctx.precision
+    length = data.draw(st.integers(20, 70))
+    if data.draw(st.booleans()):
+        num = data.draw(st.integers(-40, 40).filter(lambda a: a % p))
+        r = Fraction(num, data.draw(st.integers(1, 20).filter(lambda d: d % p)))
+        fn, g = phi_fr(r, ctx, length=length), f_r_series(r, length).coeffs[1:]
+    else:
+        g = [1 + p * data.draw(st.integers(-3, 3))] + [
+            Fraction(data.draw(st.integers(-9, 9)), data.draw(st.sampled_from((1, p + 1))))
+            for _ in range(data.draw(st.integers(0, 4)))]
+        fn = poly_gexp(g, ctx, length=length)
+    d = gexp_coefficients([g[0] - 1] + list(g[1:]), length + 3)
+    assert fn.length == length
+    for n in range(length + 1):
+        assert fn.coeffs[n].abs_precision == M
+        assert agrees(fn.coeffs[n], d[n], ctx), (g, n)
+    if fn.tail.note == "gexp certificate":
+        assert all(vp(d[n], p) >= fn.tail.exponent for n in range(length + 1, length + 4))
+
+
+@SETTINGS
+@given(st.data())
+def test_p_exp_agrees_with_fraction_partial_sums(data):
+    """p_exp(x) against sum_(n < N) X^n / n! on lifts X of x, N past the
+    point where v(X^n / n!) >= n v - (n-1)/(p-1) reaches the claim."""
+    ctx = data.draw(contexts())
+    p = ctx.p
+    x, lifts = data.draw(numbers(ctx))
+    v = x.abs_precision if x.unit == 0 else x.valuation
+    if v < (2 if p == 2 else 1):
+        if not x.is_exact_zero():
+            with pytest.raises(DivergentSeriesError):
+                p_exp(x)
+        return
+    got = p_exp(x)
+    k = got.abs_precision
+    assert k <= x.abs_precision
+    N = 1
+    while N * v - (N - 1) / (p - 1) < k:
+        N += 1
+    for X in lifts:
+        exact = sum((X ** n / math.factorial(n) for n in range(N)), Fraction(0))
+        assert agrees(got, exact, ctx), (x, X, N)
+
+
+@settings(SETTINGS, max_examples=75)
+@given(st.data())
+def test_residue_operators_claim_as_padic_arithmetic(data):
+    """two_var, l_x, mu_psi_x and AmiceElem.to_mahler give exactly what the
+    PadicNumber chains they replace give, claims included: coefficient
+    valuations down to -6 reach the padding of an int coerced against a
+    value of valuation below -4."""
+    ctx = data.draw(contexts())
+    p = ctx.p
+    phi, _ = data.draw(expansions(ctx, low=-6))
+    x, _ = data.draw(line_points(ctx))
+    y, _, _ = data.draw(exponents(ctx))
+    target = data.draw(st.integers(1, ctx.precision))
+    K = factorial_length_for(p, target)
+    yy = y if isinstance(y, PadicNumber) else ctx.number(y)
+    binoms = dirac(x, ctx, K).coeffs
+    acc, fall = ctx.zero(), ctx.one()
+    for k in range(K + 1):
+        acc = acc + fall * binoms[k] * phi.eval(x - k)
+        fall = fall * (ctx.number(k) - yy)
+    if phi.min_valuation() != INF:
+        T = vp_factorial(K + 1, p) + phi.min_valuation()
+        acc = acc + PadicNumber(ctx, T, 0, T)
+    assert two_var(phi, x, y, target=target) == acc
+    n = data.draw(st.integers(0, 12))
+    binoms = dirac(x, ctx, n).coeffs
+    twisted = [b * phi.eval(x - k) for k, b in enumerate(binoms)]
+    assert mu_psi_x(phi, x, length=n).coeffs == tuple(twisted)
+    assert l_x(phi, x, length=n).coeffs == tuple(
+        c * ((-1) ** k * math.factorial(k)) for k, c in enumerate(twisted))
+    support = data.draw(st.lists(st.integers(-3, 6), max_size=4, unique=True))
+    psi = AmiceElem(ctx, {m: data.draw(numbers(ctx))[0] for m in support})
+    chain = MahlerFn(ctx, [ctx.zero()], Tail.exact())
+    for m in sorted(psi.coeffs):
+        c = psi.coeffs[m] if m % 2 == 0 else -psi.coeffs[m]
+        chain = chain.add(one_minus_x_pow(m, ctx, n).scale(c))
+    got = psi.to_mahler(n)
+    assert (got.coeffs, got.tail) == (chain.coeffs, chain.tail)
