@@ -20,12 +20,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
+from operator import sub
 
 from .exact import _vp, as_rational, binom
 from .padic import (PadicContext, PadicNumber, congruent, principal_part,
                     principal_power)
 from .series import TruncSeries
-from .mahler import (MahlerFn, _gexp_kernel, _rational_weights, convolve,
+from .mahler import (MahlerFn, _gexp_fn, _gexp_kernel, _rational_weights, convolve,
                      gexp_length_for)
 from .measure import dirac, integrate
 from .transform import factorial_length_for, l_value, l_values, one_minus_x_pow
@@ -89,13 +91,13 @@ def phi_fr(r, ctx: PadicContext, length: int | None = None,
            tail_target: int | None = None) -> MahlerFn:
     """The weight phi_r as a p-adic expansion with a certified tail.
 
-    For r = A/B the series coefficients of f_r are c_k = G_k / (A^(k-1) k!)
-    with G_1 = 1, G_(k+1) = -G_k (B - kA), so the gexp kernel weights of
-    f_r - t are w_1 = 0 and w_k = G_k A^-(k-1), with only the unit A ever
-    inverted.  Default sizing picks the shortest length whose gexp
-    certificate reaches the context precision.  Expansions come from
-    _phi_expansion, an LRU cache keyed by (r, ctx, length, tail target); a
-    hit returns the cached expansion itself, which is immutable.
+    Its Mahler coefficients are the d_n of exp(f_r - t) = sum d_n t^n/n!
+    mod p^M, from the gexp kernel or, for r of small height, the D-finite
+    recurrence of _phi_dfinite, with the same residues and tail either way.
+    Default sizing picks the shortest length whose gexp certificate reaches
+    the context precision.  Expansions come from _phi_expansion, an LRU
+    cache keyed by (r, ctx, length, tail target); a hit returns the cached
+    expansion itself, which is immutable.
     """
     r = require_unit(r, ctx.p)
     want = ctx.precision if tail_target is None else tail_target
@@ -109,8 +111,19 @@ def phi_fr(r, ctx: PadicContext, length: int | None = None,
 # thread-safe, but two threads missing on one key may both build the value.
 @lru_cache(maxsize=32)
 def _phi_expansion(r: Fraction, ctx: PadicContext, length: int, want: int) -> MahlerFn:
+    """phi_r through index length, for r = A/B in lowest terms, B > 0.
+
+    The kernel sums about n terms at index n and _phi_dfinite takes
+    |A| + |B-A| steps per index of up to twice a term's cost, so it runs when
+    4 (|A| + |B-A|) < length.  The kernel weights of f_r - t are w_1 = 0 and
+    w_k = G_k A^-(k-1), G_1 = 1, G_(k+1) = -G_k (B - kA), as f_r has
+    c_k = G_k / (A^(k-1) k!).  Only the unit A is inverted, and both routes
+    end in mahler._gexp_fn, so their records and tails are identical.
+    """
     A, B = r.numerator, r.denominator
     mod = ctx.p ** ctx.precision
+    if 4 * (abs(A) + abs(B - A)) < length:
+        return _gexp_fn(ctx, _phi_dfinite(A, B, mod, length), want)
     Ainv = pow(A, -1, mod)
     weights = [0]
     G, scale = 1, 1  # G_k mod p^M and A^-(k-1) mod p^M
@@ -119,6 +132,33 @@ def _phi_expansion(r: Fraction, ctx: PadicContext, length: int, want: int) -> Ma
         scale = scale * Ainv % mod
         weights.append(G * scale % mod)
     return _gexp_kernel(ctx, weights, length, want)
+
+
+def _phi_dfinite(A: int, B: int, mod: int, length: int) -> list:
+    """d_0..d_length mod p^M of E = exp(f_r - t), r = A/B, B > 0.
+
+    With c = (B-A)/A, h = f_r' = (1-t)^c and G_j = F_(j+1) - F_j, the series
+    F_j = h^j E, j < |A|, obey (1-t) F_j' = -jc F_j + (1-t) G_j, as E' = (h-1) E
+    and (1-t) h' = -c h; in EGF coefficients, [t^n/n!] (1-t) F' = F_(n+1) - n F_n:
+        F_(j,n+1) = (n - jc) F_(j,n) + G_(j,n) - n G_(j,n-1)
+    (Stanley, "Differentiably finite power series", Europ. J. Combin. 1,
+    1980).  F_|A| = (1-t)^e F_0, e = (B-A) sign(A), closes the system: |e|
+    chained steps y_n = x_n - n x_(n-1) (e > 0) or y_n = x_n + n y_(n-1)
+    (e < 0), so step i at n is F_(0,n) -+ n times a prefix sum of the steps
+    at n-1.  Only the unit A is inverted; the state is the last terms of
+    each F_j and step, and the G_j at n-1.
+    """
+    a, e = abs(A), (B - A) * (1 if A > 0 else -1)
+    c = (B - A) * pow(A, -1, mod) % mod
+    jc = [j * c % mod for j in range(a)]
+    F, G, steps, d = [1] * a, [0] * a, [1] * (abs(e) + 1), [1]
+    for n in range(length):
+        k, sums = (-n, steps[:-1]) if e > 0 else (n, steps[1:])
+        steps = [F[0], *[(F[0] + k * S) % mod for S in accumulate(sums)]]
+        Gn = list(map(sub, F[1:] + steps[-1:], F))
+        F, G = [((n - q) * f + g - n * h) % mod for q, f, g, h in zip(jc, F, Gn, G)], Gn
+        d.append(F[0])
+    return d
 
 
 @lru_cache(maxsize=32)

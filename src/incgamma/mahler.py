@@ -19,9 +19,10 @@ actcorr(phi)  = sum phi(n) t^n/n! = exp(t) * prodcorr(phi)
 from_gexp inverts actcorr on grouplike exponentials: for f with p-integral
 rational coefficients, f(0) in the exp disc and f'(0) a principal unit, the
 Mahler coefficients of the preimage are exp(f(0)) * d_n where
-exp(f - f(0) - t) = sum d_n t^n/n!.  One integer recurrence mod p^M
-computes the d_n for every such weight (from_gexp here, phi_fr and
-poly_gexp in gamma_padic).
+exp(f - f(0) - t) = sum d_n t^n/n!.  One integer recurrence mod p^M, the
+gexp kernel, computes the d_n for every such weight (from_gexp here,
+phi_fr and poly_gexp in gamma_padic); phi_fr at r of small height has a
+D-finite recurrence of its own, and _gexp_fn builds either into a MahlerFn.
 
 Tail certificate for the gexp coefficients: writing g = f - f(0) - t, a
 composition of n into j parts all >= 1 with j_1 parts equal to 1 forces
@@ -157,9 +158,9 @@ def _record(p: int, shift: int, res, claims) -> _Residues:
     mods = {A: p ** (A - shift) if shift < A < INF else 1 for A in set(claims)}
     ms = list(map(mods.__getitem__, claims))
     res = list(map(int.__mod__, res, ms))
-    # a nonzero r mod p^k has gcd(r, p^k) = p^vp(r)
-    top = max(mods.values())
-    log = {p ** k: k for k in range(top.bit_length())}
+    # a nonzero r mod p^k has gcd(r, p^k) = p^vp(r), and p^k divides top = p^e
+    e = max((A - shift for A in mods if shift < A < INF), default=0)
+    top, log = p ** e, {p ** k: k for k in range(e + 1)}
     vals = [shift + log[g] if r else A for r, A, g in zip(res, claims, map(math.gcd, res, ms))]
     low = min(0, shift + log[math.gcd(math.gcd(*res), top)]) if any(res) else 0
     if low != shift:
@@ -458,11 +459,9 @@ def _gexp_kernel(ctx: PadicContext, weights: list, length: int, want: int,
     middle entry passes p^(2M); trailing zero weights are dropped first so
     deg only counts the live ones.  The stored coefficients are head * d_n
     for n <= length, each claiming O(p^M); head is the residue of
-    exp(f(0)).  The tail is the gexp certificate, or the heuristic window
-    when that is stronger and the certificate falls short of want.
+    exp(f(0)).  _gexp_fn builds the expansion and its tail.
     """
-    p, M = ctx.p, ctx.precision
-    mod = p ** M
+    mod = ctx.p ** ctx.precision
     w = [0] + list(weights[:length])
     while len(w) > 1 and w[-1] == 0:
         w.pop()
@@ -478,8 +477,16 @@ def _gexp_kernel(ctx: PadicContext, weights: list, length: int, want: int,
         # sum over k = 1..top of w_k row_k d_(n-k)
         terms = map(mul, map(mul, w[1:top + 1], row[1:top + 1]), reversed(d[n - top:n]))
         d.append(sum(terms) % mod)
+    return _gexp_fn(ctx, d, want, head)
+
+
+def _gexp_fn(ctx: PadicContext, d: list, want: int, head: int = 1) -> MahlerFn:
+    """The gexp preimage with coefficients head * d_n mod p^M, n < len(d), each
+    claiming O(p^M).  Its tail is the gexp certificate, or the heuristic window
+    when that is stronger and the certificate falls short of want."""
+    p, M, mod = ctx.p, ctx.precision, ctx.p ** ctx.precision
     res = [c * head % mod for c in d]
-    tail = Tail(gexp_tail_floor(p, length), True, "gexp certificate")
+    tail = Tail(gexp_tail_floor(p, len(d) - 1), True, "gexp certificate")
     if tail.exponent < want:
         window = heuristic_tail(ctx, [PadicNumber._make(ctx, 0, c, M) for c in res[-3 * p:]])
         if window.exponent > tail.exponent:

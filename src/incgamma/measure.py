@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from operator import add, mul
 
-from .exact import INF, _vp, as_rational, digit_count
+from .exact import INF, as_rational, digit_count
 from .padic import PadicContext, PadicNumber
 from .mahler import MahlerFn, Tail, _joint_length, _line, _new, _record
 
@@ -22,7 +22,8 @@ def dirac(x, ctx: PadicContext, length: int) -> MahlerFn:
     """delta_x with moments binom(x, n); |binom| <= 1 certifies the tail.
 
     One int loop carries binom(x, n) = p^v u, u a unit mod p^M, through
-    binom(x, n+1) = binom(x, n) (a - nd) / (d (n+1)) for x = a/d.  At an
+    binom(x, n+1) = binom(x, n) (a - nd) / (d (n+1)) for x = a/d, with the
+    unit parts of the d (n+1) inverted together by one modular pow.  At an
     int or a Fraction (M = precision) a moment claims M + v, as ctx.number
     would; past an integer 0 <= x <= length they are exact zeros, with an
     exact tail.  At a PadicNumber x known mod p^M the moment binom(x, n) is
@@ -44,18 +45,31 @@ def dirac(x, ctx: PadicContext, length: int) -> MahlerFn:
             raise ValueError("Dirac point must lie in Z_p")
         claims = [INF] * (length + 1)
     mod = p ** M
-    res = [0] * (length + 1)
-    u, v = 1, 0  # binom(x, n) = p^v u, u a unit mod p^M
-    for n in range(length + 1):
-        res[n] = u * p ** v
-        if not padic:
-            claims[n] = M + v
+    # binom(x, n) = p^vs[n] nums[n] / D_n: nums and D_n = dens[0] ... dens[n]
+    # are prefix products of the unit parts of a - kd and d (k+1), k < n
+    nums, dens, vs, D = [1], [1], [0], 1
+    for n in range(length):
         t = a - n * d
         if t == 0:  # binom(x, n) = 0 beyond the integer x = n
             break
-        i, j = _vp(t, p), _vp(n + 1, p)
-        v += i - j
-        u = u * (t // p ** i) * pow(d * (n + 1) // p ** j, -1, mod) % mod
+        q, v = d * (n + 1), vs[-1]
+        while t % p == 0:
+            t, v = t // p, v + 1
+        while q % p == 0:
+            q, v = q // p, v - 1
+        vs.append(v)
+        nums.append(nums[-1] * t % mod)
+        dens.append(q)
+        D = D * q % mod
+    else:
+        t = a - length * d
+    # one inversion for all: 1 / D_(n-1) = dens[n] / D_n, swept backward
+    res, inv = [0] * (length + 1), pow(D, -1, mod)
+    for n in range(len(vs) - 1, -1, -1):
+        res[n] = nums[n] * inv % mod * p ** vs[n]
+        if not padic:
+            claims[n] = M + vs[n]
+        inv = inv * dens[n] % mod
     exact = t == 0 and not padic
     return _new(ctx, _record(p, 0, res, claims),
                 Tail.exact() if exact else Tail(0, True, "binomials are integral"))

@@ -82,6 +82,36 @@ def test_phi_fr_r_one_is_constant():
         assert phi.coeff(n).is_zero()
 
 
+def refuse(*args):
+    raise AssertionError("wrong route")
+
+
+def test_phi_fr_routes_by_height(monkeypatch):
+    """Small-height r takes the D-finite recurrence and large-height r the
+    gexp kernel."""
+    ctx = PadicContext(5, 10)
+    L = gexp_length_for(5, 10)
+    monkeypatch.setattr(gamma_padic, "_phi_dfinite", refuse)
+    big = gamma_padic._phi_expansion.__wrapped__(Fraction(1234, 4567), ctx, L, 10)
+    assert big.length == L and big.tail.certified
+    monkeypatch.undo()
+    monkeypatch.setattr(gamma_padic, "_gexp_kernel", refuse)
+    small = gamma_padic._phi_expansion.__wrapped__(Fraction(2), ctx, L, 10)
+    assert small.length == L and small.tail.certified
+
+
+def test_phi_fr_short_recurrence_keeps_the_heuristic_window(monkeypatch):
+    """At a length whose certificate falls short of the precision, the
+    recurrence route keeps the kernel's heuristic-window tail and record."""
+    ctx = PadicContext(3, 10)
+    r = Fraction(2)
+    kernel = from_gexp(f_r_series(r, 40), ctx)
+    monkeypatch.setattr(gamma_padic, "_gexp_kernel", refuse)
+    short = gamma_padic._phi_expansion.__wrapped__(r, ctx, 40, 10)
+    assert short.tail == kernel.tail == Tail(8, False, "window W=9")
+    assert short._res == kernel._res
+
+
 def test_phi_fr_certified_tail_default():
     ctx = PadicContext(3, 16)
     phi = phi_fr(2, ctx)

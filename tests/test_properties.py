@@ -13,7 +13,8 @@ AmiceElem.to_mahler, the values along x - k, two_var, l_x, convolutions and
 gexp kernels long enough for their lazily reduced Pascal rows) and the
 L-values (l_value, Psi at a PadicNumber s) meet the same lift oracles, and
 p_exp meets Fraction partial sums.  The residue operators that replaced
-PadicNumber chains are also held to those chains, claims included.
+PadicNumber chains are also held to those chains, claims included, and the
+D-finite recurrence for phi_r to the gexp kernel, record and tail included.
 """
 
 import math
@@ -25,8 +26,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from incgamma.exact import INF, binom, falling, vp, vp_factorial
-from incgamma.gamma_padic import Psi, f_r_series, phi_fr, poly_gexp, psi_tilde
-from incgamma.mahler import ExactMahler, MahlerFn, Tail, _line, convolve
+from incgamma.gamma_padic import (Psi, _phi_dfinite, _phi_expansion, f_r_series, phi_fr,
+                                  poly_gexp, psi_tilde)
+from incgamma.mahler import (ExactMahler, MahlerFn, Tail, _gexp_fn, _gexp_kernel, _line,
+                             convolve, gexp_length_for)
 from incgamma.measure import dirac, integrate, mu_psi_x
 from incgamma.padic import (DivergentSeriesError, PadicContext, PadicNumber, congruent,
                             p_exp, principal_part, principal_power, teichmuller)
@@ -631,3 +634,48 @@ def test_residue_operators_claim_as_padic_arithmetic(data):
         chain = chain.add(one_minus_x_pow(m, ctx, n).scale(c))
     got = psi.to_mahler(n)
     assert (got.coeffs, got.tail) == (chain.coeffs, chain.tail)
+
+
+@st.composite
+def small_heights(draw, p):
+    """r = A/B of small height with A a unit at p, from each case of the
+    D-finite system: A < 0 (so e = -(B - A) < 0), 0 < r < 1 (e > 0),
+    r > 1 (e < 0), and r = 1 (e = 0) or r = -1."""
+    unit = st.integers(1, 12).filter(lambda a: a % p)
+    kind = draw(st.sampled_from(("negative", "below one", "above one", "one", "minus one")))
+    if kind in ("one", "minus one"):
+        return Fraction(1 if kind == "one" else -1)
+    if kind == "negative":
+        return Fraction(-draw(unit), draw(st.integers(1, 12)))
+    A = draw(unit.filter(lambda a: a > 1 or kind == "below one"))
+    B = draw(st.integers(A + 1, 13) if kind == "below one" else st.integers(1, A - 1))
+    return Fraction(A, B)
+
+
+@settings(SETTINGS, max_examples=100)
+@given(st.data())
+def test_dfinite_phi_matches_the_gexp_kernel(data):
+    """_phi_dfinite gives the kernel's residues d_n mod p^M, and the
+    MahlerFn built from them the kernel's record and tail, at lengths below
+    the certified one (heuristic windows included) and above it; so does
+    _phi_expansion, whichever route it takes.  The kernel weights come from
+    w_(k+1) = w_k (k - 1/r), the falling factorials of k! c_k."""
+    p = data.draw(st.sampled_from((2, 3, 5, 7, 11, 13)))
+    ctx = PadicContext(p, data.draw(st.integers(1, 4)))
+    r = data.draw(small_heights(p))
+    M, mod = ctx.precision, p ** ctx.precision
+    want = data.draw(st.integers(1, M + 2))
+    certified = gexp_length_for(p, want)
+    length = data.draw(st.one_of(st.integers(1, certified - 1),
+                                 st.integers(certified, 2 * certified)))
+    w, weights = 1 - 1 / r, [0]
+    for k in range(2, length + 1):
+        weights.append(w.numerator * pow(w.denominator, -1, mod) % mod)
+        w *= k - 1 / r
+    kernel = _gexp_kernel(ctx, weights, length, want)
+    d = _phi_dfinite(r.numerator, r.denominator, mod, length)
+    assert tuple(d) == kernel._res.res, (r, p, M, length)
+    built = _gexp_fn(ctx, d, want)
+    assert (built._res, built.tail) == (kernel._res, kernel.tail)
+    routed = _phi_expansion.__wrapped__(r, ctx, length, want)
+    assert (routed._res, routed.tail) == (kernel._res, kernel.tail)
