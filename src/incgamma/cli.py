@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import random
 import sys
@@ -48,6 +49,18 @@ def _count(lowest: int):
             raise argparse.ArgumentTypeError(f"must be >= {lowest}, got {n}")
         return n
     return parse
+
+
+def _tolerance(text: str) -> float:
+    """argparse type for a finite tolerance >= 0 (nan, inf and negatives
+    would decide every complex row the same way)."""
+    try:
+        tol = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not 0 <= tol < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text}")
+    return tol
 
 
 def _fmt_value(x, k: int) -> str:
@@ -183,7 +196,7 @@ def main(argv=None) -> int:
     common.add_argument("--format", choices=("json", "csv"), default="json")
     common.add_argument("--prec", type=int, default=None,
                         help="p-adic working precision (default INCGAMMA_PREC or 28)")
-    common.add_argument("--tol", type=float, default=1e-8,
+    common.add_argument("--tol", type=_tolerance, default=1e-8,
                         help="relative tolerance on the complex side")
 
     ap = argparse.ArgumentParser(

@@ -113,16 +113,17 @@ def phi_fr(r, ctx: PadicContext, length: int | None = None,
 def _phi_expansion(r: Fraction, ctx: PadicContext, length: int, want: int) -> MahlerFn:
     """phi_r through index length, for r = A/B in lowest terms, B > 0.
 
-    The kernel sums about n terms at index n and _phi_dfinite takes
-    |A| + |B-A| steps per index of up to twice a term's cost, so it runs when
-    4 (|A| + |B-A|) < length.  The kernel weights of f_r - t are w_1 = 0 and
+    Per index the cut kernel sums about length/5 terms, and _phi_dfinite
+    costs about 1.4 terms per unit of |A| and 0.8 per unit of |B-A|
+    (break-even measured at p 3-13, prec 30-40), so it runs when
+    7 |A| + 4 |B-A| < length.  The kernel weights of f_r - t are w_1 = 0 and
     w_k = G_k A^-(k-1), G_1 = 1, G_(k+1) = -G_k (B - kA), as f_r has
     c_k = G_k / (A^(k-1) k!).  Only the unit A is inverted, and both routes
     end in mahler._gexp_fn, so their records and tails are identical.
     """
     A, B = r.numerator, r.denominator
     mod = ctx.p ** ctx.precision
-    if 4 * (abs(A) + abs(B - A)) < length:
+    if 7 * abs(A) + 4 * abs(B - A) < length:
         return _gexp_fn(ctx, _phi_dfinite(A, B, mod, length), want)
     Ainv = pow(A, -1, mod)
     weights = [0]

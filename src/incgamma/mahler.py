@@ -29,15 +29,23 @@ composition of n into j parts all >= 1 with j_1 parts equal to 1 forces
 j <= (n + j_1)/2, and each size-1 part contributes v_p >= v_p(g_1) >= 1, so
     v_p(d_n) >= v_p(n!) - v_p(floor(n/2)!) >= n/(2(p-1)) - log_p(n) - 1,
 an increasing bound; gexp_tail_floor freezes its value at K+1.
+
+The same bound cuts the kernel's work.  In d_n = sum_k w_k binom(n-1, k-1)
+d_(n-k), with w_k = k! g_k, the term k has valuation at least
+v_p((n-1)!) - v_p(floor((n-k)/2)!), which reaches M once n - k < 2 m(n),
+m(n) the least m with v_p(m!) > v_p((n-1)!) - M.  So the kernel sums
+k <= n - 2 m(n) only, 32-41 % of the terms at the default length, and
+every d_n mod p^M is that of the full sum (see _gexp_kernel).
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import accumulate, zip_longest
-from operator import add, mul
+from itertools import accumulate, chain, repeat, zip_longest
+from operator import add, mul, sub
 from typing import NamedTuple
 
 from .exact import INF, _vp, as_rational, digit_count
@@ -454,29 +462,62 @@ def _gexp_kernel(ctx: PadicContext, weights: list, length: int, want: int,
     weights[k-1] = w_k = k! g_k mod p^M, where g = f - f(0) - t.  The EGF
     coefficients d_n of exp(g) obey the exp ODE in the form
         d_n = sum_{k=1}^{min(n, deg)} w_k binom(n-1, k-1) d_{n-k},
-    which never divides, so the recurrence runs on plain residues, with the
-    Pascal row updated by one C-level add and reduced mod p^M only once its
-    middle entry passes p^(2M); trailing zero weights are dropped first so
-    deg only counts the live ones.  The stored coefficients are head * d_n
-    for n <= length, each claiming O(p^M); head is the residue of
-    exp(f(0)).  _gexp_fn builds the expansion and its tail.
+    which never divides, so the recurrence runs on plain residues; trailing
+    zero weights are dropped first so deg only counts the live ones.
+
+    The sum stops at k = n - 2 m(n), m(n) the least m with
+    nu(m) > nu(n-1) - M, nu(j) = v_p(j!).  When the residues have
+    v(w_1) >= 1 and v(w_k) >= nu(k) (checked once; otherwise every term is
+    summed), the tail certificate gives v(d_j) >= min(M, nu(j) - nu(floor(j/2)))
+    for the residues d_j, and a dropped term, j = n - k < 2 m(n), has
+        v(w_k) + nu(n-1) - nu(k-1) - nu(j) + v(d_j)
+            >= min(M, nu(n-1) - nu(floor(j/2))) >= M,
+    as nu(floor(j/2)) <= nu(m(n) - 1) <= nu(n-1) - M.  So every d_n mod p^M
+    is that of the full sum.  m(n) only moves at multiples of p, so one
+    bisection of nu per block of p indices finds it; once no cut ahead is
+    positive, the remaining d_n are 0.  The Pascal row is updated by one
+    C-level add only as far as the largest cut still ahead, and reduced mod
+    p^M only once its middle entry passes p^(2M).  The stored coefficients
+    are head * d_n for n <= length, each claiming O(p^M); head is the residue
+    of exp(f(0)).  _gexp_fn builds the expansion and its tail.
     """
-    mod = ctx.p ** ctx.precision
+    p, M = ctx.p, ctx.precision
+    mod = p ** M
     w = [0] + list(weights[:length])
     while len(w) > 1 and w[-1] == 0:
         w.pop()
     deg = len(w) - 1
+    nu = [0] * (length + 1)  # v_p(j), then nu[j] = v_p(j!)
+    q = p
+    while q <= length:
+        nu[q::q] = [v + 1 for v in nu[q::q]]
+        q *= p
+    nu = list(accumulate(nu))
+    # the cut's hypotheses on the residues: v(w_1) >= 1, v(w_k) >= nu(k)
+    in_domain = all(c % p ** min(v, M) == 0 for c, v in zip(w[1:], [1, *nu[2:deg + 1]]))
+    drop = M if in_domain else INF
+    # nu(n-1), so m(n), is constant on each block n = s+1..s+p, s = 0, p, 2p, ...,
+    # where the cut n - 2 m(n) rises by one per step, so a block's last cut is its
+    # largest; reaches[b] is the largest cut from block b on (drop = INF: m = 0)
+    twice_m = [2 * bisect_right(nu, v - drop) for v in nu[:length:p]]
+    ends = [*range(p, length, p), length]
+    reaches = list(accumulate(map(sub, ends[::-1], twice_m[::-1]), max))[::-1]
+    per_n = (chain.from_iterable(map(repeat, xs, repeat(p))) for xs in (twice_m, reaches))
     lim = mod * mod
     row = [0, 1] + [0] * (deg - 1)  # row[k] = binom(n-1, k-1), reduced past lim
     d = [1]
-    for n in range(1, length + 1):
-        top = min(n, deg)
+    for n, m2, reach in zip(range(1, length + 1), *per_n):
+        if reach <= 0:  # no term is left from n on: those d_n are 0 mod p^M
+            break
+        # the row is kept up to the largest cut from n on; sum k = 1..min(cut, deg, n)
+        top, cut, mid = min(n, deg, reach), n - m2, (n + 1) // 2
         row[2:top + 1] = map(add, row[2:top + 1], row[1:top])
-        if top > 2 and row[(top + 1) // 2] >= lim:
+        if top > 2 and row[top if top < mid else mid] >= lim:
             row = list(map(mod.__rmod__, row))
-        # sum over k = 1..top of w_k row_k d_(n-k)
-        terms = map(mul, map(mul, w[1:top + 1], row[1:top + 1]), reversed(d[n - top:n]))
+        # map stops at the shortest slice, and d's is empty when cut < 0
+        terms = map(mul, map(mul, w[1:cut + 1], row[1:cut + 1]), reversed(d[n - cut:n]))
         d.append(sum(terms) % mod)
+    d += [0] * (length + 1 - len(d))
     return _gexp_fn(ctx, d, want, head)
 
 

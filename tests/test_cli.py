@@ -170,6 +170,35 @@ def test_negative_counts_are_usage_errors(capsys, argv):
     assert "error: argument --" in captured.err
 
 
+@pytest.mark.parametrize("tol", ["-1", "-0.5", "nan", "inf", "-inf", "1e400", "abc"])
+@pytest.mark.parametrize("command", [
+    ("interp-check", "--r", "2", "--complex", "--m-max", "2"),
+    ("func-eq", "--poly", "1", "--p", "5", "--samples", "1", "--complex"),
+])
+def test_tol_must_be_finite_and_nonnegative(capsys, command, tol):
+    with pytest.raises(SystemExit) as exc:
+        main([*command, f"--tol={tol}"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert [line for line in captured.err.splitlines() if "error:" in line] == [
+        f"incgamma {command[0]}: error: argument --tol: "
+        + (f"not a number: {tol!r}" if tol == "abc"
+           else f"must be a finite number >= 0, got {tol}")]
+
+
+@pytest.mark.parametrize("tol", ["0", "1e-8", "0.5"])
+def test_tol_accepts_finite_nonnegative_values(capsys, tol):
+    code, doc = run_json(capsys, "interp-check", "--r", "2", "--complex",
+                         "--m-max", "2", "--tol", tol)
+    assert doc["params"]["tol"] == float(tol)
+    for row in doc["rows"]:
+        err = float(row["precision_claim"].removeprefix("rel_err "))
+        assert row["status"] == ("pass" if err <= float(tol) else "fail")
+    assert code == (0 if doc["pass"] else 1)
+    assert tol == "0" or code == 0
+
+
 @pytest.mark.parametrize("argv", [
     ("interp-check", "--r", "1/2", "--complex", "--m-max", "175"),
     ("eval", "--side", "complex", "--r", "1/2", "--s", "180"),

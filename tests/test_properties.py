@@ -29,10 +29,11 @@ from incgamma.exact import INF, binom, falling, vp, vp_factorial
 from incgamma.gamma_padic import (Psi, _phi_dfinite, _phi_expansion, f_r_series, phi_fr,
                                   poly_gexp, psi_tilde)
 from incgamma.mahler import (ExactMahler, MahlerFn, Tail, _gexp_fn, _gexp_kernel, _line,
-                             convolve, gexp_length_for)
+                             convolve, from_gexp, gexp_length_for)
 from incgamma.measure import dirac, integrate, mu_psi_x
 from incgamma.padic import (DivergentSeriesError, PadicContext, PadicNumber, congruent,
                             p_exp, principal_part, principal_power, teichmuller)
+from incgamma.series import TruncSeries
 from incgamma.transform import (AmiceElem, factorial_length_for, l_value, l_x,
                                 one_minus_x_pow, two_var)
 
@@ -679,3 +680,66 @@ def test_dfinite_phi_matches_the_gexp_kernel(data):
     assert (built._res, built.tail) == (kernel._res, kernel.tail)
     routed = _phi_expansion.__wrapped__(r, ctx, length, want)
     assert (routed._res, routed.tail) == (kernel._res, kernel.tail)
+
+
+def full_gexp_sum(weights: list, length: int, mod: int) -> list:
+    """d_0..d_length mod `mod` of the gexp kernel's recurrence summed over
+    every k = 1..min(n, deg), with a plain Pascal row binom(n-1, j)."""
+    w = [0, *weights[:length]]
+    row, d = [], [1]
+    for n in range(1, length + 1):
+        row = [1, *((a + b) % mod for a, b in zip(row, row[1:])), 1][:n]
+        d.append(sum(w[k] * row[k - 1] * d[n - k] for k in range(1, min(n, len(w) - 1) + 1))
+                 % mod)
+    return d
+
+
+def residue(q: Fraction, mod: int) -> int:
+    return q.numerator * pow(q.denominator, -1, mod) % mod
+
+
+@settings(SETTINGS, max_examples=120)
+@given(st.data())
+def test_gexp_kernel_cut_matches_the_full_sum(data):
+    """The kernel's cut sum k <= n - 2 m(n) gives the record and tail of the
+    full sum, for the weights of generic-r phi_r, poly_gexp and from_gexp
+    with f(0) != 0 (where the cut drops terms), and for weights outside the
+    cut's domain, v(w_1) = 0 or r with p | B (where the guard keeps the full
+    sum); at M up to 12 and lengths below, at and above the certified one."""
+    p = data.draw(st.sampled_from((2, 3, 5, 7, 11, 13)))
+    ctx = PadicContext(p, data.draw(st.integers(1, 12)))
+    M, mod = ctx.precision, p ** ctx.precision
+    want = data.draw(st.integers(1, M + 1))
+    certified = gexp_length_for(p, want)
+    length = data.draw(st.one_of(st.integers(1, certified - 1), st.just(certified),
+                                 st.integers(certified + 1, 2 * certified)))
+    kind = data.draw(st.sampled_from(("phi", "poly", "from_gexp", "unit w1", "p | B")))
+    unit = st.integers(1, 10 ** 4).filter(lambda a: a % p)
+    head = 1
+    if kind in ("phi", "p | B"):
+        r = Fraction(data.draw(unit) * data.draw(st.sampled_from((1, -1))),
+                     data.draw(unit) * (p if kind == "p | B" else 1))
+        w, weights = 1 - 1 / r, [0]  # w_(k+1) = w_k (k - 1/r), the k! c_k of f_r
+        for k in range(2, length + 1):
+            weights.append(residue(w, mod))
+            w *= k - 1 / r
+        got = _gexp_kernel(ctx, weights, length, want)
+    else:
+        def coefficient():
+            return Fraction(data.draw(st.integers(-50, 50)), data.draw(unit))
+        g1 = 1 + (Fraction(data.draw(unit), data.draw(unit)) if kind == "unit w1"
+                  else p * coefficient())
+        g = [g1, *(coefficient() for _ in range(data.draw(st.integers(0, 6))))]
+        weights = [residue(math.factorial(k) * (c - (k == 1)), mod)
+                   for k, c in enumerate(g, start=1)]
+        if kind == "from_gexp":
+            f0 = p ** (2 if p == 2 else 1) * Fraction(data.draw(unit), data.draw(unit))
+            head = p_exp(ctx.number(f0)).residue(M)
+            got = from_gexp(TruncSeries([f0, *(g + [0] * length)[:length]]), ctx,
+                            tail_target=want)
+        elif kind == "poly":
+            got = poly_gexp(g, ctx, length=length, tail_target=want)
+        else:  # poly_gexp refuses a unit w_1, so the kernel is called directly
+            got = _gexp_kernel(ctx, weights, length, want)
+    expected = _gexp_fn(ctx, full_gexp_sum(weights, length, mod), want, head)
+    assert (got._res, got.tail) == (expected._res, expected.tail), (kind, p, M, length)
