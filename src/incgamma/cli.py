@@ -235,6 +235,11 @@ def main(argv=None) -> int:
     p4.add_argument("--complex", action="store_true")
     p4.set_defaults(handler=_cmd_func_eq)
 
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # argparse takes a value such as -1/2 or -2,1 for an option: pass it as --r=-1/2
+    for i in range(len(argv) - 1, 0, -1):
+        if argv[i - 1] in ("--r", "--s", "--poly") and not argv[i].startswith("--"):
+            argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     args = ap.parse_args(argv)
     try:
         if args.prec is None:

@@ -89,28 +89,27 @@ def phi_values_exact(r, count: int) -> list:
 
 def phi_fr(r, ctx: PadicContext, length: int | None = None,
            tail_target: int | None = None) -> MahlerFn:
-    """The weight phi_r as a p-adic expansion with a certified tail.
+    """The weight phi_r as a p-adic expansion whose tail is the gexp certificate.
 
     Its Mahler coefficients are the d_n of exp(f_r - t) = sum d_n t^n/n!
     mod p^M, from the gexp kernel or, for r of small height, the D-finite
     recurrence of _phi_dfinite, with the same residues and tail either way.
     Default sizing picks the shortest length whose gexp certificate reaches
-    the context precision.  Expansions come from _phi_expansion, an LRU
-    cache keyed by (r, ctx, length, tail target); a hit returns the cached
-    expansion itself, which is immutable.
+    tail_target (default: the context precision), its only use.  Expansions
+    come from _phi_expansion, an LRU cache keyed by (r, ctx, length); a hit
+    returns the cached expansion itself, which is immutable.
     """
     r = require_unit(r, ctx.p)
-    want = ctx.precision if tail_target is None else tail_target
     if length is None:
-        length = gexp_length_for(ctx.p, want)
-    return _phi_expansion(r, ctx, length, want)
+        length = gexp_length_for(ctx.p, ctx.precision if tail_target is None else tail_target)
+    return _phi_expansion(r, ctx, length)
 
 
 # Bounded LRUs that hand out immutable values, so no caller can change a
 # cached one; cache_info() counts hits and misses.  The bookkeeping is
 # thread-safe, but two threads missing on one key may both build the value.
 @lru_cache(maxsize=32)
-def _phi_expansion(r: Fraction, ctx: PadicContext, length: int, want: int) -> MahlerFn:
+def _phi_expansion(r: Fraction, ctx: PadicContext, length: int) -> MahlerFn:
     """phi_r through index length, for r = A/B in lowest terms, B > 0.
 
     Per index the cut kernel sums about length/5 terms, and _phi_dfinite
@@ -124,7 +123,7 @@ def _phi_expansion(r: Fraction, ctx: PadicContext, length: int, want: int) -> Ma
     A, B = r.numerator, r.denominator
     mod = ctx.p ** ctx.precision
     if 7 * abs(A) + 4 * abs(B - A) < length:
-        return _gexp_fn(ctx, _phi_dfinite(A, B, mod, length), want)
+        return _gexp_fn(ctx, _phi_dfinite(A, B, mod, length))
     Ainv = pow(A, -1, mod)
     weights = [0]
     G, scale = 1, 1  # G_k mod p^M and A^-(k-1) mod p^M
@@ -132,7 +131,7 @@ def _phi_expansion(r: Fraction, ctx: PadicContext, length: int, want: int) -> Ma
         G = -G * (B - k * A) % mod
         scale = scale * Ainv % mod
         weights.append(G * scale % mod)
-    return _gexp_kernel(ctx, weights, length, want)
+    return _gexp_kernel(ctx, weights, length)
 
 
 def _phi_dfinite(A: int, B: int, mod: int, length: int) -> list:
@@ -169,8 +168,7 @@ def _twist_and_lvalues(r: Fraction, ctx: PadicContext, K: int) -> tuple:
     return principal_part(ctx.number(r)), l_values(phi_fr(r, ctx), K)
 
 
-def poly_gexp(coeffs, ctx: PadicContext, length: int | None = None,
-              tail_target: int | None = None) -> MahlerFn:
+def poly_gexp(coeffs, ctx: PadicContext, length: int | None = None) -> MahlerFn:
     """Mahler expansion of exp(f) for a polynomial f = sum_{k>=1} g_k x^k.
 
     Same contract as from_gexp with f(0) = 0; the gexp kernel runs on the
@@ -185,11 +183,10 @@ def poly_gexp(coeffs, ctx: PadicContext, length: int | None = None,
             raise CompatibilityError(f"coefficient of x^{k} is not p-integral: {c}")
     if _vp(g[0] - 1, p) < 1:
         raise CompatibilityError("f'(0) must be a principal unit")
-    want = ctx.precision if tail_target is None else tail_target
     if length is None:
-        length = gexp_length_for(p, want)
+        length = gexp_length_for(p, ctx.precision)
     weights = _rational_weights([g[0] - 1] + g[1:], p ** ctx.precision)
-    return _gexp_kernel(ctx, weights, length, want)
+    return _gexp_kernel(ctx, weights, length)
 
 
 def psi_tilde(r, m: int) -> Fraction:
@@ -229,7 +226,7 @@ def Phi(r, s, ctx: PadicContext, target: int | None = None,
         return l_value(None, s, target=target, values=values)
     if route == "dirac":
         L = 2 * gexp_length_for(ctx.p, target)
-        phi = phi_fr(r, ctx, length=L, tail_target=target)
+        phi = phi_fr(r, ctx, length=L)
         g = one_minus_x_pow(s, ctx, L)
         prod = convolve(g, phi)
         return integrate(prod, dirac(Fraction(-1), ctx, prod.length))

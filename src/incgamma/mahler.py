@@ -55,19 +55,15 @@ from .series import TruncSeries
 
 @dataclass(frozen=True)
 class Tail:
-    """Bound |a_n| <= p^(-exponent) for every n beyond the stored range.
-
-    certified tails come with a proof (finite support, falling-factorial
-    counting, factorial growth, or the gexp certificate); heuristic ones
-    only record a window of observed valuations.
-    """
+    """Proven bound |a_n| <= p^(-exponent) for every n beyond the stored
+    range; note names the proof (finite support, factorial decay, the gexp
+    certificate, a sum or a convolution)."""
     exponent: int | float
-    certified: bool
     note: str = ""
 
     @staticmethod
     def exact() -> "Tail":
-        return Tail(INF, True, "finite support")
+        return Tail(INF, "finite support")
 
 
 def gexp_tail_floor(p: int, K: int) -> int:
@@ -285,14 +281,10 @@ class MahlerFn:
                       list(map(min, zip_longest(a.claims[:K + 1], b.claims[:K + 1],
                                                 fillvalue=INF))))
         texp = min(self.valuation_beyond(K), other.valuation_beyond(K))
-        certified = self.tail.certified and other.tail.certified
-        return _new(self.ctx, rec, Tail(texp, certified, "sum"))
+        return _new(self.ctx, rec, Tail(texp, "sum"))
 
     def __repr__(self):
-        t = "inf" if self.tail.exponent == INF else str(self.tail.exponent)
-        kind = "certified" if self.tail.certified else "heuristic"
-        return (f"MahlerFn(p={self.ctx.p}, K={self.length}, "
-                f"tail {kind} >= {t})")
+        return f"MahlerFn(p={self.ctx.p}, K={self.length}, tail >= {self.tail.exponent})"
 
 
 def _new(ctx: PadicContext, rec: _Residues, tail: Tail, coeffs=None, fn=None):
@@ -400,31 +392,19 @@ def convolve(a: MahlerFn, b: MahlerFn) -> MahlerFn:
     half = K_out // 2
     texp = min(a.valuation_beyond(half) + b.min_valuation(),
                b.valuation_beyond(half) + a.min_valuation())
-    certified = a.tail.certified and b.tail.certified
     claim = M + min(sa, sb)
     return _new(ctx, _record(ctx.p, sa + sb, out, [claim] * (K_out + 1)),
-                Tail(texp, certified, "convolution"))
+                Tail(texp, "convolution"))
 
 
-def heuristic_tail(ctx: PadicContext, coeffs) -> Tail:
-    """Window evidence: minimum valuation over the last 3p stored
-    coefficients, recorded as a heuristic tail."""
-    window = coeffs[-3 * ctx.p:]
-    return Tail(min((c.valuation for c in window), default=INF), False,
-                f"window W={len(window)}")
-
-
-def from_gexp(f: TruncSeries, ctx: PadicContext,
-              tail_target: int | None = None) -> MahlerFn:
+def from_gexp(f: TruncSeries, ctx: PadicContext) -> MahlerFn:
     """The continuous phi with actcorr(phi) = gexp(f), for a rational series f.
 
     Requires p-integral coefficients, f(0) inside the exp disc, and f'(0) a
     principal unit.  The EGF coefficients of exp(f - f(0) - t) come from the
     gexp kernel mod p^M (M = ctx.precision), scaled by p_exp(f(0)) when
-    f(0) != 0, and every coefficient claims O(p^M).  The tail is the
-    certified gexp bound whenever it reaches tail_target (default: the
-    context precision); otherwise the stronger of the certificate and the
-    observed heuristic window.
+    f(0) != 0, and every coefficient claims O(p^M).  The tail is the gexp
+    certificate at K = f.order, below M when K < gexp_length_for(p, M).
     """
     p = ctx.p
     if f.order < 1:
@@ -440,8 +420,7 @@ def from_gexp(f: TruncSeries, ctx: PadicContext,
     M = ctx.precision
     g = [f.coeff(1) - 1] + f.coeffs[2:]
     head = p_exp(ctx.number(f0)).residue(M) if f0 != 0 else 1
-    want = M if tail_target is None else tail_target
-    return _gexp_kernel(ctx, _rational_weights(g, p ** M), f.order, want, head)
+    return _gexp_kernel(ctx, _rational_weights(g, p ** M), f.order, head)
 
 
 def _rational_weights(g: list, mod: int) -> list:
@@ -455,8 +434,7 @@ def _rational_weights(g: list, mod: int) -> list:
     return out
 
 
-def _gexp_kernel(ctx: PadicContext, weights: list, length: int, want: int,
-                 head: int = 1) -> MahlerFn:
+def _gexp_kernel(ctx: PadicContext, weights: list, length: int, head: int = 1) -> MahlerFn:
     """Mahler coefficients of the gexp preimage, all mod p^M (M = ctx.precision).
 
     weights[k-1] = w_k = k! g_k mod p^M, where g = f - f(0) - t.  The EGF
@@ -518,18 +496,14 @@ def _gexp_kernel(ctx: PadicContext, weights: list, length: int, want: int,
         terms = map(mul, map(mul, w[1:cut + 1], row[1:cut + 1]), reversed(d[n - cut:n]))
         d.append(sum(terms) % mod)
     d += [0] * (length + 1 - len(d))
-    return _gexp_fn(ctx, d, want, head)
+    return _gexp_fn(ctx, d, head)
 
 
-def _gexp_fn(ctx: PadicContext, d: list, want: int, head: int = 1) -> MahlerFn:
+def _gexp_fn(ctx: PadicContext, d: list, head: int = 1) -> MahlerFn:
     """The gexp preimage with coefficients head * d_n mod p^M, n < len(d), each
-    claiming O(p^M).  Its tail is the gexp certificate, or the heuristic window
-    when that is stronger and the certificate falls short of want."""
+    claiming O(p^M).  Its tail is the gexp certificate beyond K = len(d) - 1,
+    clamped at 0: the weights and head are p-integral, so is every d_n."""
     p, M, mod = ctx.p, ctx.precision, ctx.p ** ctx.precision
     res = [c * head % mod for c in d]
-    tail = Tail(gexp_tail_floor(p, len(d) - 1), True, "gexp certificate")
-    if tail.exponent < want:
-        window = heuristic_tail(ctx, [PadicNumber._make(ctx, 0, c, M) for c in res[-3 * p:]])
-        if window.exponent > tail.exponent:
-            tail = window
+    tail = Tail(max(0, gexp_tail_floor(p, len(d) - 1)), "gexp certificate")
     return _new(ctx, _record(p, 0, res, [M] * len(res)), tail)

@@ -72,7 +72,7 @@ def dirac(x, ctx: PadicContext, length: int) -> MahlerFn:
         inv = inv * dens[n] % mod
     exact = t == 0 and not padic
     return _new(ctx, _record(p, 0, res, claims),
-                Tail.exact() if exact else Tail(0, True, "binomials are integral"))
+                Tail.exact() if exact else Tail(0, "binomials are integral"))
 
 
 def mu_psi_x(psi: MahlerFn, x, length: int | None = None) -> MahlerFn:
@@ -83,8 +83,7 @@ def mu_psi_x(psi: MahlerFn, x, length: int | None = None) -> MahlerFn:
     base = dirac(x, psi.ctx, psi.length if length is None else length)
     e = psi.min_valuation()
     texp = base.tail.exponent + (e if e != INF else 0)
-    certified = base.tail.certified and psi.tail.certified
-    return _new(psi.ctx, _twisted(psi, x, base), Tail(texp, certified, "twisted Dirac"))
+    return _new(psi.ctx, _twisted(psi, x, base), Tail(texp, "twisted Dirac"))
 
 
 def _twisted(psi: MahlerFn, x, base: MahlerFn):

@@ -52,7 +52,7 @@ def one_minus_x_pow(y, ctx: PadicContext, length: int) -> MahlerFn:
         c = c * (n - Y) % mod
     rec = _record(p, 0, res, [M] * (top + 1) + [INF] * (length - top))
     return _new(ctx, rec, Tail.exact() if exact else
-                Tail(vp_factorial(length + 1, p), True, "factorial decay"))
+                Tail(vp_factorial(length + 1, p), "factorial decay"))
 
 
 def s_transform(phi: MahlerFn, y, length: int | None = None) -> MahlerFn:
@@ -109,7 +109,7 @@ def l_x(phi: MahlerFn, x, length: int | None = None) -> MahlerFn:
     """y -> S^y(phi)(x) as an expansion in y.
 
     Its Mahler coefficients are (-1)^k k! binom(x, k) phi(x - k); the
-    factorial keeps the tail certified without any division.  The int
+    factorial bounds the tail without any division.  The int
     (-1)^k k! claims as coercion pads it: v_p(k!) + 4 past its factor's claim.
     """
     ctx, p = phi.ctx, phi.ctx.p
@@ -123,8 +123,7 @@ def l_x(phi: MahlerFn, x, length: int | None = None) -> MahlerFn:
         t, vt = -(k + 1) * t, vt + _vp(k + 1, p)
     e = phi.min_valuation()
     texp = INF if e == INF else vp_factorial(length + 1, p) + e
-    return _new(ctx, _record(p, rec.shift, res, claims),
-                Tail(texp, phi.tail.certified, "factorial decay"))
+    return _new(ctx, _record(p, rec.shift, res, claims), Tail(texp, "factorial decay"))
 
 
 @dataclass(frozen=True)
@@ -232,7 +231,7 @@ class AmiceElem:
             claims = [min(a, A + v, c.abs_precision + w)
                       for a, A, w in zip(claims, g._res.claims, g._res.vals)]
             texp = min(texp, g.tail.exponent + v)
-        return _new(ctx, _record(ctx.p, low, res, claims), Tail(texp, True, "sum"))
+        return _new(ctx, _record(ctx.p, low, res, claims), Tail(texp, "sum"))
 
     def star(self, phi: MahlerFn) -> MahlerFn:
         """Convolve this element's expansion against phi."""

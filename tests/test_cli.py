@@ -210,3 +210,17 @@ def test_complex_overflow_is_a_domain_error(capsys, argv):
     assert out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith("error: complex side out of double range")
+
+
+@pytest.mark.parametrize("head, flag, value, tail", [
+    (("psi-tilde",), "--r", "-1/2", ("--m-max", "3")),
+    (("eval", "--side", "padic", "--r", "2", "--p", "7"), "--s", "-1/3", ("--prec", "10")),
+    (("func-eq",), "--poly", "-2,1", ("--p", "3", "--prec", "10")),
+])
+def test_signed_values_read_as_the_equals_form(capsys, head, flag, value, tail):
+    # -1/2 and -2,1 are not argparse's negative numbers; g1 = -2 is a
+    # principal unit at p = 3
+    code, out, err = run(capsys, *head, flag, value, *tail)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["pass"] is True
+    assert run(capsys, *head, f"{flag}={value}", *tail) == (code, out, err)

@@ -12,7 +12,7 @@ from incgamma.gamma_padic import (CompatibilityError, GammaValue,
                                   gamma_p, phi_fr, phi_values_exact,
                                   poly_gexp, psi_tilde, require_unit)
 from incgamma.exact import binom
-from incgamma.mahler import Tail, from_gexp, gexp_length_for
+from incgamma.mahler import Tail, from_gexp, gexp_length_for, gexp_tail_floor
 from incgamma.padic import PadicContext, congruent, p_exp, principal_part
 from incgamma.series import TruncSeries, gexp
 from incgamma.transform import s_transform
@@ -61,8 +61,8 @@ def test_phi_fr_matches_from_gexp():
     for r, p in cases:
         ctx = PadicContext(p, 12)
         f = f_r_series(r, 30)
-        assert_matches_exact_gexp(phi_fr(r, ctx, length=30, tail_target=4), f, ctx)
-        assert_matches_exact_gexp(from_gexp(f, ctx, tail_target=4), f, ctx)
+        assert_matches_exact_gexp(phi_fr(r, ctx, length=30), f, ctx)
+        assert_matches_exact_gexp(from_gexp(f, ctx), f, ctx)
 
 
 def test_phi_fr_matches_shift_recurrence_values():
@@ -92,31 +92,33 @@ def test_phi_fr_routes_by_height(monkeypatch):
     ctx = PadicContext(5, 10)
     L = gexp_length_for(5, 10)
     monkeypatch.setattr(gamma_padic, "_phi_dfinite", refuse)
-    big = gamma_padic._phi_expansion.__wrapped__(Fraction(1234, 4567), ctx, L, 10)
-    assert big.length == L and big.tail.certified
+    big = gamma_padic._phi_expansion.__wrapped__(Fraction(1234, 4567), ctx, L)
+    assert big.length == L and big.tail == Tail(gexp_tail_floor(5, L), "gexp certificate")
     monkeypatch.undo()
     monkeypatch.setattr(gamma_padic, "_gexp_kernel", refuse)
-    small = gamma_padic._phi_expansion.__wrapped__(Fraction(2), ctx, L, 10)
-    assert small.length == L and small.tail.certified
+    small = gamma_padic._phi_expansion.__wrapped__(Fraction(2), ctx, L)
+    assert small.length == L and small.tail == big.tail
 
 
-def test_phi_fr_short_recurrence_keeps_the_heuristic_window(monkeypatch):
+def test_phi_fr_short_recurrence_keeps_the_certificate(monkeypatch):
     """At a length whose certificate falls short of the precision, the
-    recurrence route keeps the kernel's heuristic-window tail and record."""
+    recurrence route claims the kernel's certificate and record."""
     ctx = PadicContext(3, 10)
     r = Fraction(2)
     kernel = from_gexp(f_r_series(r, 40), ctx)
     monkeypatch.setattr(gamma_padic, "_gexp_kernel", refuse)
-    short = gamma_padic._phi_expansion.__wrapped__(r, ctx, 40, 10)
-    assert short.tail == kernel.tail == Tail(8, False, "window W=9")
+    short = gamma_padic._phi_expansion.__wrapped__(r, ctx, 40)
+    assert short.tail == kernel.tail == Tail(5, "gexp certificate")
     assert short._res == kernel._res
 
 
 def test_phi_fr_certified_tail_default():
     ctx = PadicContext(3, 16)
     phi = phi_fr(2, ctx)
-    assert phi.tail.certified
+    assert phi.tail.note == "gexp certificate"
     assert phi.tail.exponent >= 16
+    # tail_target only sizes the default length
+    assert phi_fr(2, ctx, tail_target=8).length == gexp_length_for(3, 8)
 
 
 def test_phi_fr_hands_out_copies():
@@ -133,7 +135,7 @@ def test_cached_values_reject_attribute_writes():
     # into 18864 + O(3^10)
     ctx = PadicContext(3, 10)
     L = 2 * gexp_length_for(3, 10)
-    phi = phi_fr(2, ctx, length=L, tail_target=10)
+    phi = phi_fr(2, ctx, length=L)
     with pytest.raises(AttributeError):
         phi.coeffs[0].unit = 2
     with pytest.raises(AttributeError):
@@ -310,10 +312,10 @@ def test_gamma_dual_route():
 def test_poly_gexp_matches_from_gexp():
     ctx = PadicContext(5, 18)
     coeffs = [1, Fraction(1, 2), Fraction(1, 3)]
-    a = poly_gexp(coeffs, ctx, length=30, tail_target=6)
+    a = poly_gexp(coeffs, ctx, length=30)
     f = TruncSeries([Fraction(0)] + [Fraction(c) for c in coeffs] +
                     [Fraction(0)] * 27)
-    b = from_gexp(f, ctx, tail_target=6)
+    b = from_gexp(f, ctx)
     assert_matches_exact_gexp(a, f, ctx)
     assert_matches_exact_gexp(b, f, ctx)
 

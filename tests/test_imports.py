@@ -1,12 +1,14 @@
 """Every module-level import in the package is used by its module, every
-private function is referred to elsewhere, and only the archimedean lane
-loads scipy.
+private function is referred to elsewhere, every parameter is read, and
+only the archimedean lane loads scipy.
 
 Stdlib ast checks: a name bound by a top-level import must appear as a
 name (or the root of an attribute chain) somewhere else in the module;
 __init__.py is left out, since its imports are the package's re-exports.
 A private function or method (_name, not a dunder) must be named, as a
-name or an attribute, somewhere in the package outside its own body.
+name or an attribute, somewhere in the package outside its own body.  Each
+parameter of a function that is not a dunder must be read in its body; a
+dunder's signature is fixed by the protocol it implements.
 """
 
 import ast
@@ -77,6 +79,36 @@ def test_checker_flags_an_unreferenced_private_function():
 def test_every_private_function_is_referenced():
     sources = {path.name: path.read_text() for path in PACKAGE.glob("*.py")}
     assert unreferenced_private_functions(sources) == []
+
+
+def unread_parameters(source: str) -> list:
+    """line: function.parameter entries for the parameters of non-dunder
+    functions that their bodies never read."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and not (node.name.startswith("__") and node.name.endswith("__"))):
+            a = node.args
+            params = [*a.posonlyargs, *a.args, *a.kwonlyargs, *filter(None, (a.vararg, a.kwarg))]
+            read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            out += [f"line {node.lineno}: {node.name}.{arg.arg}"
+                    for arg in params if arg.arg not in read]
+    return sorted(out)
+
+
+def test_checker_flags_an_unread_parameter():
+    assert unread_parameters("def f(a, b, *, c=1):\n    b = a\n    return lambda: c\n") == [
+        "line 1: f.b"]
+    assert unread_parameters("class C:\n    def __setattr__(self, name, value):\n"
+                             "        raise AttributeError(name)\n\n"
+                             "    def g(self, *args, **kw):\n        return self\n") == [
+        "line 5: g.args", "line 5: g.kw"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_every_parameter_is_read(path):
+    assert unread_parameters(path.read_text()) == []
 
 
 SCIPY_GUARD = """

@@ -13,7 +13,6 @@ from incgamma.mahler import (
     from_gexp,
     gexp_length_for,
     gexp_tail_floor,
-    heuristic_tail,
 )
 from incgamma.padic import PadicContext, PadicNumber, congruent
 from incgamma.series import TruncSeries, gexp
@@ -119,7 +118,7 @@ def test_one_fn_and_sup_norm():
 
 def test_eval_precision_claim_uses_tail():
     ctx = PadicContext(3, 20)
-    phi = MahlerFn(ctx, [1, 1, 1], Tail(7, True, "test"))
+    phi = MahlerFn(ctx, [1, 1, 1], Tail(7, "test"))
     v = phi.eval(5)
     assert v.abs_precision == 7
 
@@ -194,7 +193,7 @@ def test_eval_at_imprecise_point_agrees_with_every_lift():
 def test_eval_at_imprecise_point_sees_the_tail():
     # X = 2 lies inside the stored range, but other lifts reach the tail
     ctx = PadicContext(3, 10)
-    phi = MahlerFn(ctx, [1, 1, 1], Tail(4, True, "test"))
+    phi = MahlerFn(ctx, [1, 1, 1], Tail(4, "test"))
     assert phi.eval(PadicNumber._make(ctx, 0, 2, 8)).abs_precision <= 4
     assert phi.eval(2).abs_precision == 10
 
@@ -242,7 +241,7 @@ def test_convolve_norm_submultiplicative():
 
 def test_shift_with_finite_tail_caps_last_coefficient():
     ctx = PadicContext(3, 20)
-    phi = MahlerFn(ctx, [1, 1, 1], Tail(9, True, "test"))
+    phi = MahlerFn(ctx, [1, 1, 1], Tail(9, "test"))
     s = phi.shift()
     assert s.length == 2
     assert s.coeffs[2].abs_precision == 9
@@ -251,12 +250,12 @@ def test_shift_with_finite_tail_caps_last_coefficient():
 
 def test_convolve_tail_pairing():
     ctx = PadicContext(3, 20)
-    # both factors unit-normed with certified tails
-    a = MahlerFn(ctx, [1] * 13, Tail(11, True, "test"))
-    b = MahlerFn(ctx, [1] * 13, Tail(14, True, "test"))
+    # both factors unit-normed with finite tails
+    a = MahlerFn(ctx, [1] * 13, Tail(11, "test"))
+    b = MahlerFn(ctx, [1] * 13, Tail(14, "test"))
     c = convolve(a, b)
     assert c.length == 12
-    assert c.tail.certified
+    assert c.tail.note == "convolution"
     # beyond index 12 one factor index exceeds 6, where both are unit-sized
     assert c.tail.exponent == 0
 
@@ -294,7 +293,7 @@ def test_from_gexp_certified_tail():
     K = gexp_length_for(3, 10)
     f = TruncSeries([0, 1, Fraction(1, 4)], order=K)
     phi = from_gexp(f, ctx)
-    assert phi.tail.certified
+    assert phi.tail == Tail(gexp_tail_floor(3, K), "gexp certificate")
     assert phi.tail.exponent >= 10
     # the certificate undersells the truth: stored coefficients obey it too
     floor_here = gexp_tail_floor(3, phi.length // 2)
@@ -321,10 +320,3 @@ def test_gexp_length_for_reaches_target():
             assert gexp_tail_floor(p, K) >= target
             assert gexp_tail_floor(p, K - 1) < target
 
-
-def test_heuristic_tail_window():
-    ctx = PadicContext(3, 12)
-    coeffs = [ctx.number(3 ** min(n, 9)) for n in range(20)]
-    t = heuristic_tail(ctx, coeffs)
-    assert not t.certified
-    assert t.exponent == 9

@@ -102,8 +102,8 @@ def test_bilinearity():
 def test_sum_of_measures_does_not_overclaim():
     # the sum keeps only b's 3 moments, so a's moment 5 lands in its tail
     ctx = PadicContext(3, 20)
-    a = MahlerFn(ctx, [0, 0, 0, 0, 0, 1], Tail(10, True, "test"))
-    b = MahlerFn(ctx, [0, 0, 0], Tail(10, True, "test"))
+    a = MahlerFn(ctx, [0, 0, 0, 0, 0, 1], Tail(10, "test"))
+    b = MahlerFn(ctx, [0, 0, 0], Tail(10, "test"))
     phi = MahlerFn(ctx, [0, 0, 0, 0, 0, 1], Tail.exact())  # binom(x, 5)
     assert integrate(phi, a) == ctx.one()
     got = integrate(phi, a.add(b))

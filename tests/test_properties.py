@@ -29,7 +29,7 @@ from incgamma.exact import INF, binom, falling, vp, vp_factorial
 from incgamma.gamma_padic import (Psi, _phi_dfinite, _phi_expansion, f_r_series, phi_fr,
                                   poly_gexp, psi_tilde)
 from incgamma.mahler import (ExactMahler, MahlerFn, Tail, _gexp_fn, _gexp_kernel, _line,
-                             convolve, from_gexp, gexp_length_for)
+                             convolve, from_gexp, gexp_length_for, gexp_tail_floor)
 from incgamma.measure import dirac, integrate, mu_psi_x
 from incgamma.padic import (DivergentSeriesError, PadicContext, PadicNumber, congruent,
                             p_exp, principal_part, principal_power, teichmuller)
@@ -64,7 +64,7 @@ def expansions(draw, ctx, low=-2):
     stored = MahlerFn(ctx, [ctx.zero() if A is None
                             else PadicNumber(ctx, A, 0, A) if q == 0
                             else ctx.number(q, abs_prec=A) for q, A in coeffs],
-                      Tail.exact() if T == INF else Tail(T, True, "drawn"))
+                      Tail.exact() if T == INF else Tail(T, "drawn"))
     rng = random.Random(draw(st.integers(0, 2 ** 32)))
     lifts = []
     for _ in range(LIFTS):
@@ -549,8 +549,9 @@ def gexp_coefficients(g: list, length: int) -> list:
 @given(st.data())
 def test_long_gexp_kernels_match_the_fraction_recurrence(data):
     """phi_fr and poly_gexp past the first lazy reduction of the kernel's
-    Pascal row: every stored coefficient is d_n mod p^M, and a certified
-    tail bounds the next exact d_n."""
+    Pascal row: every stored coefficient is d_n mod p^M, and the tail is the
+    gexp certificate clamped at 0, which bounds the next exact d_n at every
+    length, below the one that reaches M too."""
     ctx = PadicContext(data.draw(st.sampled_from((2, 3, 5))), data.draw(st.integers(2, 5)))
     p, M = ctx.p, ctx.precision
     length = data.draw(st.integers(20, 70))
@@ -568,8 +569,8 @@ def test_long_gexp_kernels_match_the_fraction_recurrence(data):
     for n in range(length + 1):
         assert fn.coeffs[n].abs_precision == M
         assert agrees(fn.coeffs[n], d[n], ctx), (g, n)
-    if fn.tail.note == "gexp certificate":
-        assert all(vp(d[n], p) >= fn.tail.exponent for n in range(length + 1, length + 4))
+    assert fn.tail == Tail(max(0, gexp_tail_floor(p, length)), "gexp certificate")
+    assert all(vp(d[n], p) >= fn.tail.exponent for n in range(length + 1, length + 4))
 
 
 @SETTINGS
@@ -658,27 +659,26 @@ def small_heights(draw, p):
 def test_dfinite_phi_matches_the_gexp_kernel(data):
     """_phi_dfinite gives the kernel's residues d_n mod p^M, and the
     MahlerFn built from them the kernel's record and tail, at lengths below
-    the certified one (heuristic windows included) and above it; so does
+    and above the one whose certificate reaches a drawn target; so does
     _phi_expansion, whichever route it takes.  The kernel weights come from
     w_(k+1) = w_k (k - 1/r), the falling factorials of k! c_k."""
     p = data.draw(st.sampled_from((2, 3, 5, 7, 11, 13)))
     ctx = PadicContext(p, data.draw(st.integers(1, 4)))
     r = data.draw(small_heights(p))
     M, mod = ctx.precision, p ** ctx.precision
-    want = data.draw(st.integers(1, M + 2))
-    certified = gexp_length_for(p, want)
+    certified = gexp_length_for(p, data.draw(st.integers(1, M + 2)))
     length = data.draw(st.one_of(st.integers(1, certified - 1),
                                  st.integers(certified, 2 * certified)))
     w, weights = 1 - 1 / r, [0]
     for k in range(2, length + 1):
         weights.append(w.numerator * pow(w.denominator, -1, mod) % mod)
         w *= k - 1 / r
-    kernel = _gexp_kernel(ctx, weights, length, want)
+    kernel = _gexp_kernel(ctx, weights, length)
     d = _phi_dfinite(r.numerator, r.denominator, mod, length)
     assert tuple(d) == kernel._res.res, (r, p, M, length)
-    built = _gexp_fn(ctx, d, want)
+    built = _gexp_fn(ctx, d)
     assert (built._res, built.tail) == (kernel._res, kernel.tail)
-    routed = _phi_expansion.__wrapped__(r, ctx, length, want)
+    routed = _phi_expansion.__wrapped__(r, ctx, length)
     assert (routed._res, routed.tail) == (kernel._res, kernel.tail)
 
 
@@ -709,8 +709,7 @@ def test_gexp_kernel_cut_matches_the_full_sum(data):
     p = data.draw(st.sampled_from((2, 3, 5, 7, 11, 13)))
     ctx = PadicContext(p, data.draw(st.integers(1, 12)))
     M, mod = ctx.precision, p ** ctx.precision
-    want = data.draw(st.integers(1, M + 1))
-    certified = gexp_length_for(p, want)
+    certified = gexp_length_for(p, data.draw(st.integers(1, M + 1)))
     length = data.draw(st.one_of(st.integers(1, certified - 1), st.just(certified),
                                  st.integers(certified + 1, 2 * certified)))
     kind = data.draw(st.sampled_from(("phi", "poly", "from_gexp", "unit w1", "p | B")))
@@ -723,7 +722,7 @@ def test_gexp_kernel_cut_matches_the_full_sum(data):
         for k in range(2, length + 1):
             weights.append(residue(w, mod))
             w *= k - 1 / r
-        got = _gexp_kernel(ctx, weights, length, want)
+        got = _gexp_kernel(ctx, weights, length)
     else:
         def coefficient():
             return Fraction(data.draw(st.integers(-50, 50)), data.draw(unit))
@@ -735,11 +734,10 @@ def test_gexp_kernel_cut_matches_the_full_sum(data):
         if kind == "from_gexp":
             f0 = p ** (2 if p == 2 else 1) * Fraction(data.draw(unit), data.draw(unit))
             head = p_exp(ctx.number(f0)).residue(M)
-            got = from_gexp(TruncSeries([f0, *(g + [0] * length)[:length]]), ctx,
-                            tail_target=want)
+            got = from_gexp(TruncSeries([f0, *(g + [0] * length)[:length]]), ctx)
         elif kind == "poly":
-            got = poly_gexp(g, ctx, length=length, tail_target=want)
+            got = poly_gexp(g, ctx, length=length)
         else:  # poly_gexp refuses a unit w_1, so the kernel is called directly
-            got = _gexp_kernel(ctx, weights, length, want)
-    expected = _gexp_fn(ctx, full_gexp_sum(weights, length, mod), want, head)
+            got = _gexp_kernel(ctx, weights, length)
+    expected = _gexp_fn(ctx, full_gexp_sum(weights, length, mod), head)
     assert (got._res, got.tail) == (expected._res, expected.tail), (kind, p, M, length)

@@ -65,7 +65,7 @@ def test_one_minus_x_pow_fractional_coeffs():
     g = one_minus_x_pow(Fraction(1, 2), ctx, 3)
     for n, want in enumerate([1, Fraction(-1, 2), Fraction(-1, 4), Fraction(-3, 8)]):
         assert congruent(g.coeff(n), ctx.number(want), 10)
-    assert g.tail.certified
+    assert g.tail == Tail(vp_factorial(4, 3), "factorial decay")
 
 
 def test_one_minus_x_pow_rejects_non_integral():
@@ -177,7 +177,7 @@ def test_q_star_one_minus_x_is_one():
     ctx = PadicContext(3, 24)
     # Mahler coefficients n!, the convolution inverse of 1 - x
     q = MahlerFn(ctx, [math.factorial(n) for n in range(61)],
-                 Tail(vp_factorial(61, 3), True, "factorial decay"))
+                 Tail(vp_factorial(61, 3), "factorial decay"))
     prod = convolve(q, one_minus_x_pow(1, ctx, 1))
     assert congruent(prod.coeff(0), ctx.one(), 20)
     for n in range(1, prod.length + 1):
@@ -231,19 +231,19 @@ def _l_values_case(name):
         return phi_fr(Fraction(r), PadicContext(int(p), 12))
     if name == "exact":
         return ExactMahler([1, -2, 5, Fraction(1, 2), 7]).to_padic(ctx)
-    if name == "heuristic":
+    if name == "short":  # its certificate, -1, is clamped to the trivial bound
         short = phi_fr(2, ctx, length=12)
-        assert not short.tail.certified
+        assert short.tail == Tail(0, "gexp certificate")
         return short
     # coefficients of valuation -2 and -1: the kernel runs on 3^2 a_n
     if name == "non-integral exact":
         return ExactMahler([Fraction(1, 3), 2, Fraction(-5, 9), 1]).to_padic(ctx)
-    return MahlerFn(ctx, [Fraction(1, 3), 2, Fraction(-5, 3), 1], Tail(5, True, "test"))
+    return MahlerFn(ctx, [Fraction(1, 3), 2, Fraction(-5, 3), 1], Tail(5, "test"))
 
 
 @pytest.mark.parametrize("name", [
     "phi_fr 2 3", "phi_fr 5/3 7", "phi_fr -2 5", "phi_fr 3 2", "phi_fr 1 5",
-    "phi_fr -1 3", "exact", "heuristic", "non-integral exact", "non-integral tail"])
+    "phi_fr -1 3", "exact", "short", "non-integral exact", "non-integral tail"])
 def test_l_values_match_eval_in_value_and_claim(name):
     phi = _l_values_case(name)
     K = factorial_length_for(phi.ctx.p, 12)
