@@ -62,7 +62,6 @@ from .gamma_padic import (
     require_unit,
 )
 from .gamma_complex import (
-    QuadConfig,
     gammahat,
     gfn,
     lgfn,

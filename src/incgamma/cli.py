@@ -9,8 +9,9 @@ Four subcommands cover the day-to-day checks:
 
 Output is a single JSON document {command, params, rows, pass} or CSV with
 columns inputs..., value, precision_claim, status.  Exit status: 0 all
-checks passed, 1 a check failed, 2 usage or domain error.  INCGAMMA_PREC
-sets the default p-adic working precision.
+checks passed, 1 a check failed, 2 usage or domain error.  --prec sets the
+p-adic working precision (default 28); the complex side runs at the fixed
+tolerances of gamma_complex.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import random
 import sys
 
@@ -27,15 +27,7 @@ from .exact import INF, as_rational
 from .padic import PadicContext, PrecisionError, congruent, principal_part
 from .gamma_padic import (CompatibilityError, PlaceExcludedError, Psi,
                           functional_eq_parts, psi_tilde_values, require_unit)
-from .gamma_complex import DEFAULT_QUAD, gfn, mellin_fe_residual, psi_complex
-
-
-def _prec_default() -> int:
-    raw = os.environ.get("INCGAMMA_PREC", "28")
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"INCGAMMA_PREC must be an integer, got {raw!r}") from None
+from .gamma_complex import EPSABS, TAIL_TOL, gfn, mellin_fe_residual, psi_complex
 
 
 def _count(lowest: int):
@@ -72,17 +64,26 @@ def _fmt_value(x, k: int) -> str:
     return str(x.residue(k))
 
 
-def _claim(ctx: PadicContext, k) -> str:
-    if k == INF:
-        return "exact"
-    return f"mod {ctx.p}^{k}"
+def _row(key: dict, side: str, value: str, claim: str, good: bool = True) -> dict:
+    """One verdict row: the inputs in key, then side, value, claim, status."""
+    return {**key, "side": side, "value": value, "precision_claim": claim,
+            "status": "pass" if good else "fail"}
+
+
+def _padic_row(key: dict, ctx: PadicContext, got, want=None) -> dict:
+    """The row of got, checked against want (if given) mod p^k, k the weaker
+    of their claims; an exact value is claimed at the working precision."""
+    k = min(got.abs_precision, (got if want is None else want).abs_precision)
+    k = ctx.precision if k == INF else k
+    good = want is None or congruent(got, want, k)
+    return _row(key, "padic", _fmt_value(got, k), f"mod {ctx.p}^{k}", good)
 
 
 def _cmd_psi_tilde(args):
     r = as_rational(args.r)
     rows = [{"m": m, "value": str(v), "precision_claim": "exact", "status": "pass"}
             for m, v in enumerate(psi_tilde_values(r, args.m_max))]
-    return rows, True, {"r": str(r), "m_max": args.m_max}
+    return rows, {"r": str(r), "m_max": args.m_max}
 
 
 def _cmd_eval(args):
@@ -93,13 +94,8 @@ def _cmd_eval(args):
             raise ValueError("--side padic needs --p")
         ctx = PadicContext(args.p, args.prec)
         s = as_rational(args.s)
-        val = Psi(r, s, ctx)
-        k = val.abs_precision
-        k = ctx.precision if k == INF else k
-        row = {"s": args.s, "side": "padic", "value": _fmt_value(val, k),
-               "precision_claim": _claim(ctx, k), "status": "pass"}
         params.update({"p": args.p, "prec": args.prec})
-        return [row], True, params
+        return [_padic_row({"s": args.s}, ctx, Psi(r, s, ctx))], params
     s = as_rational(args.s)
     if s.denominator == 1 and s >= 0:
         val = psi_complex(float(r), int(s))
@@ -107,10 +103,8 @@ def _cmd_eval(args):
         val = gfn(float(s), float(r))
     else:
         raise ValueError("complex side needs integer s >= 0 when r < 0")
-    claim = f"quad epsabs {DEFAULT_QUAD.epsabs:g}, tail {DEFAULT_QUAD.tail_tol:g}"
-    row = {"s": args.s, "side": "complex", "value": repr(float(val)),
-           "precision_claim": claim, "status": "pass"}
-    return [row], True, params
+    claim = f"quad epsabs {EPSABS:g}, tail {TAIL_TOL:g}"
+    return [_row({"s": args.s}, "complex", repr(float(val)), claim)], params
 
 
 def _cmd_interp_check(args):
@@ -119,34 +113,22 @@ def _cmd_interp_check(args):
         raise ValueError("pick at least one side: --p and/or --complex")
     tildes = psi_tilde_values(r, args.m_max)  # one O(m_max) run for every row
     rows = []
-    ok = True
     params = {"r": str(r), "m_max": args.m_max}
     if args.p is not None:
         ctx = PadicContext(args.p, args.prec)
         pr = principal_part(ctx.number(require_unit(r, args.p)))
         params.update({"p": args.p, "prec": args.prec})
-        for m in range(args.m_max + 1):
-            val = Psi(r, m, ctx)
-            want = pr ** m * ctx.number(tildes[m])
-            k = min(val.abs_precision, want.abs_precision)
-            k = ctx.precision if k == INF else k
-            good = congruent(val, want, k)
-            ok = ok and good
-            rows.append({"m": m, "side": "padic", "value": _fmt_value(val, k),
-                         "precision_claim": _claim(ctx, k),
-                         "status": "pass" if good else "fail"})
+        rows += [_padic_row({"m": m}, ctx, Psi(r, m, ctx), pr ** m * ctx.number(tildes[m]))
+                 for m in range(args.m_max + 1)]
     if getattr(args, "complex"):
         params["tol"] = args.tol
         for m in range(args.m_max + 1):
             got = psi_complex(float(r), m)
             want = float(r ** m * tildes[m])
             err = abs(got - want) / max(1.0, abs(want))
-            good = err <= args.tol
-            ok = ok and good
-            rows.append({"m": m, "side": "complex", "value": repr(got),
-                         "precision_claim": f"rel_err {err:.3e}",
-                         "status": "pass" if good else "fail"})
-    return rows, ok, params
+            rows.append(_row({"m": m}, "complex", repr(got), f"rel_err {err:.3e}",
+                             err <= args.tol))
+    return rows, params
 
 
 def _cmd_func_eq(args):
@@ -154,28 +136,16 @@ def _cmd_func_eq(args):
     ctx = PadicContext(args.p, args.prec)
     rng = random.Random(args.seed)
     samples = [rng.randint(-8, 8) for _ in range(args.samples)]
-    rows = []
-    ok = True
-    for s in samples:
-        lhs, rhs = functional_eq_parts(coeffs, s, ctx)
-        k = min(lhs.abs_precision, rhs.abs_precision)
-        k = ctx.precision if k == INF else k
-        good = congruent(lhs, rhs, k)
-        ok = ok and good
-        rows.append({"s": s, "side": "padic", "value": _fmt_value(lhs, k),
-                     "precision_claim": _claim(ctx, k),
-                     "status": "pass" if good else "fail"})
+    rows = [_padic_row({"s": s}, ctx, *functional_eq_parts(coeffs, s, ctx))
+            for s in samples]
     if getattr(args, "complex"):
         for s in samples:
             err = mellin_fe_residual(coeffs, float(s))
-            good = err <= args.tol
-            ok = ok and good
-            rows.append({"s": s, "side": "complex", "value": f"{err:.3e}",
-                         "precision_claim": f"tol {args.tol:g}",
-                         "status": "pass" if good else "fail"})
+            rows.append(_row({"s": s}, "complex", f"{err:.3e}", f"tol {args.tol:g}",
+                             err <= args.tol))
     params = {"poly": args.poly, "p": args.p, "prec": args.prec,
               "samples": args.samples, "seed": args.seed}
-    return rows, ok, params
+    return rows, params
 
 
 def _emit(doc: dict, fmt: str, stream) -> None:
@@ -194,8 +164,8 @@ def _emit(doc: dict, fmt: str, stream) -> None:
 def main(argv=None) -> int:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "csv"), default="json")
-    common.add_argument("--prec", type=int, default=None,
-                        help="p-adic working precision (default INCGAMMA_PREC or 28)")
+    common.add_argument("--prec", type=_count(1), default=28,
+                        help="p-adic working precision (default 28)")
     common.add_argument("--tol", type=_tolerance, default=1e-8,
                         help="relative tolerance on the complex side")
 
@@ -242,9 +212,7 @@ def main(argv=None) -> int:
             argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     args = ap.parse_args(argv)
     try:
-        if args.prec is None:
-            args.prec = _prec_default()
-        rows, ok, params = args.handler(args)
+        rows, params = args.handler(args)
     except (PlaceExcludedError, CompatibilityError, PrecisionError, ValueError,
             ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -252,6 +220,7 @@ def main(argv=None) -> int:
     except OverflowError as exc:
         print(f"error: complex side out of double range: {exc}", file=sys.stderr)
         return 2
+    ok = all(row["status"] == "pass" for row in rows)
     doc = {"command": args.command, "params": params, "rows": rows, "pass": ok}
     _emit(doc, args.format, sys.stdout)
     return 0 if ok else 1

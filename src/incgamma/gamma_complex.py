@@ -11,7 +11,7 @@ orientations (r > 0 through gfn, r < 0 through lgfn and the complete
 factor).  gfn, lgfn and mellin_phi share one quadrature, _contour, which
 runs in log scale: every value inside double range is reachable, and one
 beyond it raises OverflowError.  Each semi-infinite contour is cut where
-an explicit bound puts the discarded tail below tail_tol, so the reported
+an explicit bound puts the discarded tail below TAIL_TOL, so the reported
 tolerance is honest rather than hopeful.
 """
 
@@ -19,24 +19,16 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from functools import cache
 
 from .gamma_padic import fe_coefficients
 
-
-@dataclass(frozen=True)
-class QuadConfig:
-    """Quadrature knobs; tail_tol is the cut bound, kept below epsabs.
-    epsabs applies to the integrand scaled to peak 1."""
-
-    epsabs: float = 1e-12
-    epsrel: float = 1e-12
-    limit: int = 200
-    tail_tol: float = 1e-13
-
-
-DEFAULT_QUAD = QuadConfig()
+# quad's tolerances apply to the integrand scaled to peak 1; TAIL_TOL, the
+# bound on what each cut discards, sits below EPSABS so the cut never
+# dominates the reported error.
+EPSABS = EPSREL = 1e-12
+LIMIT = 200
+TAIL_TOL = 1e-13
 
 
 @cache  # an import statement on every quad call costs about 1 us
@@ -50,7 +42,7 @@ def quad(fn, a, b, **kwargs):
     return _scipy_quad()(fn, a, b, **kwargs)
 
 
-def _contour(s, f, a: float, b: float, cfg: QuadConfig, r: float = 1.0, points=None):
+def _contour(s, f, a: float, b: float, r: float = 1.0, points=None):
     """r^{s+1} int_a^b (1-x)^s e^{f(x)} dx for real f, r > 0 and b <= 1.
 
     The integrand is exp(s log1p(-x) + f(x) - peak), peak the largest real
@@ -63,7 +55,7 @@ def _contour(s, f, a: float, b: float, cfg: QuadConfig, r: float = 1.0, points=N
     top = math.nextafter(b, a)  # (1-x)^s may be singular at b = 1
     peak = max(sr * math.log1p(-x) + f(x)
                for x in (top - (top - a) * (j / 16) ** 2 for j in range(17)))
-    opts = {"epsabs": cfg.epsabs, "epsrel": cfg.epsrel, "limit": cfg.limit, "points": points}
+    opts = {"epsabs": EPSABS, "epsrel": EPSREL, "limit": LIMIT, "points": points}
     if si == 0:
         val = quad(lambda x: math.exp(sr * math.log1p(-x) + f(x) - peak), a, b, **opts)[0]
     else:
@@ -94,7 +86,7 @@ def _cut(a: float, lam: float, t: float, log_tol: float) -> float:
     return t
 
 
-def gfn(s, r: float, cfg: QuadConfig = DEFAULT_QUAD):
+def gfn(s, r: float):
     """r^{s+1} int_{-inf}^0 (1-x)^s e^{rx} dx for r > 0.
 
     Returns a float for real s, complex otherwise.  At s = m this is
@@ -105,11 +97,11 @@ def gfn(s, r: float, cfg: QuadConfig = DEFAULT_QUAD):
     r = float(r)
     if r <= 0:
         raise ValueError("gfn needs r > 0; use lgfn/psi_complex below zero")
-    X = 1.0 - _cut(float(s.real), r, 2.0, math.log(cfg.tail_tol) - r)
-    return _contour(s, lambda x: r * x, X, 0.0, cfg, r)
+    X = 1.0 - _cut(float(s.real), r, 2.0, math.log(TAIL_TOL) - r)
+    return _contour(s, lambda x: r * x, X, 0.0, r)
 
 
-def lgfn(s, r: float, cfg: QuadConfig = DEFAULT_QUAD):
+def lgfn(s, r: float):
     """r^{s+1} int_0^1 (1-x)^s e^{rx} dx for Re s > -1.
 
     For real s in (-1, 0) the substitution u = (1-x)^{1+s} removes the
@@ -132,10 +124,10 @@ def lgfn(s, r: float, cfg: QuadConfig = DEFAULT_QUAD):
         raise ValueError("need Re s > -1")
     w = 40.0 / -r if r < -40 else 0.0  # 40 spike widths, in x
     if a >= 0:
-        val = _contour(s, lambda x: r * x, 0.0, 1.0, cfg, abs(r), [w] if w else None)
+        val = _contour(s, lambda x: r * x, 0.0, 1.0, abs(r), [w] if w else None)
     else:  # at s = 0 the helper's r^{s+1} carries |r|^{1+a}/(1+a); near
         e = 1.0 / (1.0 + a)  # u = 1, 1 - u^e is about e (1 - u)
-        val = _contour(0.0, lambda u: r * (1.0 - u ** e), 0.0, 1.0, cfg,
+        val = _contour(0.0, lambda u: r * (1.0 - u ** e), 0.0, 1.0,
                        abs(r) ** (1.0 + a) * e, [1.0 - w / e] if w else None)
     if r > 0:
         return val
@@ -151,12 +143,12 @@ def gammahat(s: float) -> float:
     return math.gamma(s)
 
 
-def upper_gamma(s, x: float, cfg: QuadConfig = DEFAULT_QUAD):
+def upper_gamma(s, x: float):
     """Gamma(s, x) = int_x^inf t^{s-1} e^{-t} dt = e^{-x} gfn(s-1, x), x > 0."""
-    return math.exp(-x) * gfn(s - 1, x, cfg)
+    return math.exp(-x) * gfn(s - 1, x)
 
 
-def psi_complex(r: float, m: int, cfg: QuadConfig = DEFAULT_QUAD) -> float:
+def psi_complex(r: float, m: int) -> float:
     """r^m psi_tilde(m) from the integral side: the archimedean value the
     finite-place interpolation is checked against.
 
@@ -170,8 +162,8 @@ def psi_complex(r: float, m: int, cfg: QuadConfig = DEFAULT_QUAD) -> float:
     if m < 0:
         raise ValueError("m must be a nonnegative integer")
     if r > 0:
-        return float(gfn(m, r, cfg))
-    return float((-lgfn(m, r, cfg) + math.exp(r) * gammahat(m + 1)).real)
+        return float(gfn(m, r))
+    return float((-lgfn(m, r) + math.exp(r) * gammahat(m + 1)).real)
 
 
 def _poly_shift_coeffs(g: list) -> list:
@@ -184,7 +176,7 @@ def _poly_shift_coeffs(g: list) -> list:
     return beta
 
 
-def mellin_phi(coeffs, s, cfg: QuadConfig = DEFAULT_QUAD):
+def mellin_phi(coeffs, s):
     """int_{-inf}^0 (1-x)^s e^{f(x)} dx for a polynomial f = sum g_k x^k.
 
     The archimedean Phi: same weight data as poly_gexp, so the two sides
@@ -204,7 +196,7 @@ def mellin_phi(coeffs, s, cfg: QuadConfig = DEFAULT_QUAD):
         raise ValueError("weight does not decay along the negative axis")
     lead = abs(beta[n])
     T0 = max(1.0, 1.0 + 2.0 * sum(abs(b) for b in beta[:n]) / lead)
-    T = _cut(float(s.real), lead * T0 ** (n - 1) / 2.0, T0, math.log(cfg.tail_tol))
+    T = _cut(float(s.real), lead * T0 ** (n - 1) / 2.0, T0, math.log(TAIL_TOL))
 
     def f(x: float) -> float:
         acc = 0.0
@@ -212,15 +204,15 @@ def mellin_phi(coeffs, s, cfg: QuadConfig = DEFAULT_QUAD):
             acc = (acc + c) * x
         return acc
 
-    return _contour(s, f, 1.0 - T, 0.0, cfg)
+    return _contour(s, f, 1.0 - T, 0.0)
 
 
-def mellin_fe_residual(coeffs, s, cfg: QuadConfig = DEFAULT_QUAD) -> float:
+def mellin_fe_residual(coeffs, s) -> float:
     """Relative residual of 1 + s Phi(s-1) = sum_m (-1)^m c_m Phi(s+m)
     for the archimedean Phi; c_m are the Taylor coefficients of f' at 1."""
-    lhs = 1.0 + s * mellin_phi(coeffs, s - 1, cfg)
+    lhs = 1.0 + s * mellin_phi(coeffs, s - 1)
     rhs = 0.0
     for m, c in enumerate(fe_coefficients(coeffs)):
         if c:
-            rhs += (-1.0) ** m * float(c) * mellin_phi(coeffs, s + m, cfg)
+            rhs += (-1.0) ** m * float(c) * mellin_phi(coeffs, s + m)
     return abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))

@@ -28,7 +28,7 @@ Tail certificate for the gexp coefficients: writing g = f - f(0) - t, a
 composition of n into j parts all >= 1 with j_1 parts equal to 1 forces
 j <= (n + j_1)/2, and each size-1 part contributes v_p >= v_p(g_1) >= 1, so
     v_p(d_n) >= v_p(n!) - v_p(floor(n/2)!) >= n/(2(p-1)) - log_p(n) - 1,
-an increasing bound; gexp_tail_floor freezes its value at K+1.
+an increasing bound; gexp_tail_floor freezes its running maximum at K+1.
 
 The same bound cuts the kernel's work.  In d_n = sum_k w_k binom(n-1, k-1)
 d_(n-k), with w_k = k! g_k, the term k has valuation at least
@@ -67,9 +67,21 @@ class Tail:
 
 
 def gexp_tail_floor(p: int, K: int) -> int:
-    """Certified valuation floor for gexp Mahler coefficients beyond K."""
+    """Certified valuation floor for gexp Mahler coefficients beyond K.
+
+    The bound n // (2(p-1)) - c - 1 at n = K + 1, c its number of base-p
+    digits, is nondecreasing on each block of n with the same c and dips by
+    one where n reaches a power of p.  A floor for every index past K' <= K
+    holds past K too, so this is the running maximum: the larger of the
+    bound at n and at p^(c-1) - 1, where the previous block ends (the bound
+    at block ends grows with the block).
+    """
     n = K + 1
-    return n // (2 * (p - 1)) - digit_count(n, p) - 1
+    c = digit_count(n, p)
+    floor = n // (2 * (p - 1)) - c - 1
+    if c == 1:
+        return floor
+    return max(floor, (p ** (c - 1) - 1) // (2 * (p - 1)) - c)
 
 
 def gexp_length_for(p: int, target: int) -> int:

@@ -139,27 +139,14 @@ def test_incompatible_weight_exit(capsys):
     assert "principal" in err
 
 
-def test_prec_env_default(capsys, monkeypatch):
-    monkeypatch.setenv("INCGAMMA_PREC", "10")
-    code, doc = run_json(capsys, "eval", "--side", "padic", "--r", "2",
-                         "--s", "2", "--p", "3")
-    assert code == 0
-    assert doc["rows"][0]["precision_claim"] == "mod 3^10"
-
-
-def test_prec_env_not_an_integer(capsys, monkeypatch):
-    monkeypatch.setenv("INCGAMMA_PREC", "abc")
-    code, out, err = run(capsys, "psi-tilde", "--r", "2")
-    assert code == 2
-    assert out == ""
-    assert err.splitlines() == ["error: INCGAMMA_PREC must be an integer, got 'abc'"]
-
-
 @pytest.mark.parametrize("argv", [
     ("psi-tilde", "--r", "2", "--m-max", "-1"),
     ("interp-check", "--r", "2", "--p", "3", "--m-max", "-1"),
     ("func-eq", "--poly", "1", "--p", "5", "--samples", "-3"),
     ("func-eq", "--poly", "1", "--p", "5", "--samples", "0"),
+    ("psi-tilde", "--r", "2", "--prec", "0"),
+    ("eval", "--side", "padic", "--r", "2", "--s", "2", "--p", "3", "--prec", "-3"),
+    ("eval", "--side", "padic", "--r", "2", "--s", "2", "--p", "3", "--prec", "x"),
 ])
 def test_negative_counts_are_usage_errors(capsys, argv):
     with pytest.raises(SystemExit) as exc:

@@ -6,9 +6,8 @@ import mpmath
 import pytest
 from scipy.special import gamma as sp_gamma, gammainc, gammaincc
 
-from incgamma.gamma_complex import (QuadConfig, _cut, gammahat, gfn, lgfn,
-                                    mellin_fe_residual, mellin_phi, psi_complex,
-                                    upper_gamma)
+from incgamma.gamma_complex import (_cut, gammahat, gfn, lgfn, mellin_fe_residual,
+                                    mellin_phi, psi_complex, upper_gamma)
 from incgamma.gamma_padic import compatible_cubic, psi_tilde
 
 
@@ -235,8 +234,3 @@ def test_mellin_fe_residual_random_cubics():
         g = compatible_cubic(a, b, c)
         s = rng.choice([0.0, 0.5, 1.0, 2.0, 3.5])
         assert mellin_fe_residual(g, s) <= 1e-7
-
-
-def test_quad_config_is_used():
-    loose = QuadConfig(epsabs=1e-6, epsrel=1e-6, limit=60, tail_tol=1e-7)
-    assert abs(gfn(3, 2.0, loose) - gfn(3, 2.0)) <= 1e-4

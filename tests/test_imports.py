@@ -1,6 +1,6 @@
 """Every module-level import in the package is used by its module, every
-private function is referred to elsewhere, every parameter is read, and
-only the archimedean lane loads scipy.
+private function is referred to elsewhere, every parameter is read, no
+module reads the environment, and only the archimedean lane loads scipy.
 
 Stdlib ast checks: a name bound by a top-level import must appear as a
 name (or the root of an attribute chain) somewhere else in the module;
@@ -8,7 +8,9 @@ __init__.py is left out, since its imports are the package's re-exports.
 A private function or method (_name, not a dunder) must be named, as a
 name or an attribute, somewhere in the package outside its own body.  Each
 parameter of a function that is not a dunder must be read in its body; a
-dunder's signature is fixed by the protocol it implements.
+dunder's signature is fixed by the protocol it implements.  No name or
+attribute environ or getenv may appear, so every setting of the package is
+an argument that tests and the benchmark can see.
 """
 
 import ast
@@ -109,6 +111,29 @@ def test_checker_flags_an_unread_parameter():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_every_parameter_is_read(path):
     assert unread_parameters(path.read_text()) == []
+
+
+def environment_reads(source: str) -> list:
+    """line: name entries for each environ or getenv, as a name or an
+    attribute (os.environ, os.getenv, a bare environ after from-import)."""
+    out = []
+    for n in ast.walk(ast.parse(source)):
+        name = n.id if isinstance(n, ast.Name) else getattr(n, "attr", None)
+        if name in ("environ", "getenv"):
+            out.append(f"line {n.lineno}: {name}")
+    return sorted(out)
+
+
+def test_checker_flags_an_environment_read():
+    assert environment_reads("import os\nx = os.environ.get('A')\ny = os.getenv('B')\n") == [
+        "line 2: environ", "line 3: getenv"]
+    assert environment_reads("from os import environ\nenviron['A']\n") == ["line 2: environ"]
+    assert environment_reads("env = {}\nenv.get('A')\n") == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_reads_the_environment(path):
+    assert environment_reads(path.read_text()) == []
 
 
 SCIPY_GUARD = """

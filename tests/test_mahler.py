@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from incgamma.exact import INF, binom
+from incgamma.exact import INF, binom, digit_count
 from incgamma.mahler import (
     ExactMahler,
     MahlerFn,
@@ -319,4 +319,18 @@ def test_gexp_length_for_reaches_target():
             K = gexp_length_for(p, target)
             assert gexp_tail_floor(p, K) >= target
             assert gexp_tail_floor(p, K - 1) < target
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_gexp_tail_floor_is_monotone(p):
+    # a longer expansion never claims a weaker tail (at p = 3 the bound at
+    # K + 1 alone reads 2 at K = 25 but 1 at K = 26)
+    floors = [gexp_tail_floor(p, K) for K in range(400)]
+    assert floors == sorted(floors)
+    # the default lengths are those of the bound at K + 1 alone
+    for target in range(1, 100):
+        K = max(8, 2 * (p - 1) * target)
+        while (K + 1) // (2 * (p - 1)) - digit_count(K + 1, p) - 1 < target:
+            K += 1
+        assert gexp_length_for(p, target) == K
 
