@@ -6,8 +6,8 @@ import mpmath
 import pytest
 from scipy.special import gamma as sp_gamma, gammainc, gammaincc
 
-from incgamma.gamma_complex import (_cut, gammahat, gfn, lgfn, mellin_fe_residual,
-                                    mellin_phi, psi_complex, upper_gamma)
+from incgamma.gamma_complex import (EPSABS, _cut, gammahat, gfn, lgfn, mellin_fe_residual,
+                                    mellin_phi, psi_complex, quad, upper_gamma)
 from incgamma.gamma_padic import compatible_cubic, psi_tilde
 
 
@@ -234,3 +234,65 @@ def test_mellin_fe_residual_random_cubics():
         g = compatible_cubic(a, b, c)
         s = rng.choice([0.0, 0.5, 1.0, 2.0, 3.5])
         assert mellin_fe_residual(g, s) <= 1e-7
+
+
+def test_mellin_phi_finds_narrow_peaks_against_mpmath():
+    # the peak of e^{f(x)} near x = -5.7 (width about 0.3) once fell
+    # between quad's panels on [1 - T0, 0], and the value came back 1e15
+    # times too small
+    for abc in ((-38, -1, 1), (-41, -2, 1)):
+        g = [mpmath.mpf(c.numerator) / c.denominator for c in compatible_cubic(*abc)]
+        with mpmath.workdps(30):
+            def h(x):
+                return (1 - x) ** 2.5 * mpmath.exp(mpmath.polyval(g[::-1] + [0], x))
+            want = mpmath.quad(h, [-mpmath.inf, -20] + mpmath.linspace(-20, 0, 41))
+        assert rel_err(mellin_phi(compatible_cubic(*abc), 2.5), float(want)) <= 1e-8, abc
+
+
+def test_quad_one_panel_is_exact_through_degree_31():
+    # K21 is exact through degree 31; G10 through 19, so there the error
+    # estimate |K21 - G10| vanishes too
+    for a, b in ((-1.0, 1.0), (0.0, 2.0)):
+        for d in range(32):
+            want = (b ** (d + 1) - a ** (d + 1)) / (d + 1)
+            got, err = quad(lambda x: x ** d, a, b, limit=1)
+            assert abs(got - want) <= 1e-14 * max(1.0, abs(want)), (a, b, d)
+            if d <= 19:
+                assert err <= 1e-14 * max(1.0, abs(want)), (a, b, d)
+    assert quad(lambda x: x ** 20, 0.0, 2.0, limit=1)[1] > 1e-12
+
+
+def test_quad_complex_is_the_sum_of_its_parts():
+    def fn(x):
+        return complex(math.cos(3.0 * x), 1.0) / (1.0 + x * x)
+    re, _ = quad(lambda x: fn(x).real, -2.0, 5.0)
+    im, _ = quad(lambda x: fn(x).imag, -2.0, 5.0)
+    got, _ = quad(fn, -2.0, 5.0)
+    assert isinstance(got, complex)
+    assert abs(got - complex(re, im)) <= 1e-13
+
+
+def test_quad_finds_a_bracketed_spike():
+    # a Gaussian of width 1e-3 on [0, 10], which no node of one 21-point
+    # panel comes near; a panel bracketing it samples it
+    def spike(x):
+        return math.exp(-((x - 3.7123) / 1e-3) ** 2)
+    got, err = quad(spike, 0.0, 10.0, points=[3.7, 3.72])
+    assert abs(got - math.sqrt(math.pi) * 1e-3) <= 1e-12 and err <= EPSABS
+
+
+def test_quad_error_meets_the_tolerance_on_smooth_integrands():
+    got, err = quad(lambda x: 1.0 / (1.0 + x * x), 0.0, 1.0)
+    assert err <= EPSABS
+    assert abs(got - math.pi / 4) <= EPSABS
+
+
+def test_quad_limit_stops_at_one_panel():
+    calls = []
+
+    def fn(x):
+        calls.append(x)
+        return math.sqrt(x)
+    got, err = quad(fn, 0.0, 1.0, limit=1)
+    assert len(calls) == 21
+    assert err > EPSABS and abs(got - 2.0 / 3.0) <= err
