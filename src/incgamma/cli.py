@@ -22,6 +22,7 @@ import json
 import math
 import random
 import sys
+from functools import cache
 
 from .exact import INF, as_rational
 from .padic import PadicContext, PrecisionError, congruent, principal_part
@@ -161,7 +162,10 @@ def _emit(doc: dict, fmt: str, stream) -> None:
     writer.writerows(rows)
 
 
-def main(argv=None) -> int:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of every main call, built once per process: parse_args
+    leaves a parser as it found it, so one instance serves each call."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "csv"), default="json")
     common.add_argument("--prec", type=_count(1), default=28,
@@ -204,13 +208,16 @@ def main(argv=None) -> int:
     p4.add_argument("--seed", type=int, default=0)
     p4.add_argument("--complex", action="store_true")
     p4.set_defaults(handler=_cmd_func_eq)
+    return ap
 
+
+def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     # argparse takes a value such as -1/2 or -2,1 for an option: pass it as --r=-1/2
     for i in range(len(argv) - 1, 0, -1):
         if argv[i - 1] in ("--r", "--s", "--poly") and not argv[i].startswith("--"):
             argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
-    args = ap.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         rows, params = args.handler(args)
     except (PlaceExcludedError, CompatibilityError, PrecisionError, ValueError,

@@ -34,8 +34,15 @@ The same bound cuts the kernel's work.  In d_n = sum_k w_k binom(n-1, k-1)
 d_(n-k), with w_k = k! g_k, the term k has valuation at least
 v_p((n-1)!) - v_p(floor((n-k)/2)!), which reaches M once n - k < 2 m(n),
 m(n) the least m with v_p(m!) > v_p((n-1)!) - M.  So the kernel sums
-k <= n - 2 m(n) only, 32-41 % of the terms at the default length, and
-every d_n mod p^M is that of the full sum (see _gexp_kernel).
+k <= n - 2 m(n) only, 32-41 % of the terms at the default length.  It sums
+them as one convolution of factorial-scaled residues: with j! = p^nu(j) u_j,
+u_j a unit,
+    d_n = u_(n-1) p^(nu(n-1) - E) sum_k a_k b_(n-k),
+    a_k = p^Ea w_k / (k-1)!,  b_j = p^Eb d_j / j!,  E = Ea + Eb,
+where the certificate (or, outside its hypotheses, the valuations of the
+weights) makes a_k and b_j p-integral, so each term is one product of
+residues mod p^(M+E) and no binomial is formed.  Every d_n mod p^M is that
+of the full sum (see _gexp_kernel).
 """
 
 from __future__ import annotations
@@ -451,9 +458,8 @@ def _gexp_kernel(ctx: PadicContext, weights: list, length: int, head: int = 1) -
 
     weights[k-1] = w_k = k! g_k mod p^M, where g = f - f(0) - t.  The EGF
     coefficients d_n of exp(g) obey the exp ODE in the form
-        d_n = sum_{k=1}^{min(n, deg)} w_k binom(n-1, k-1) d_{n-k},
-    which never divides, so the recurrence runs on plain residues; trailing
-    zero weights are dropped first so deg only counts the live ones.
+        d_n = sum_{k=1}^{min(n, deg)} w_k binom(n-1, k-1) d_{n-k};
+    trailing zero weights are dropped first so deg only counts the live ones.
 
     The sum stops at k = n - 2 m(n), m(n) the least m with
     nu(m) > nu(n-1) - M, nu(j) = v_p(j!).  When the residues have
@@ -462,27 +468,39 @@ def _gexp_kernel(ctx: PadicContext, weights: list, length: int, head: int = 1) -
     for the residues d_j, and a dropped term, j = n - k < 2 m(n), has
         v(w_k) + nu(n-1) - nu(k-1) - nu(j) + v(d_j)
             >= min(M, nu(n-1) - nu(floor(j/2))) >= M,
-    as nu(floor(j/2)) <= nu(m(n) - 1) <= nu(n-1) - M.  So every d_n mod p^M
-    is that of the full sum.  m(n) only moves at multiples of p, so one
-    bisection of nu per block of p indices finds it; once no cut ahead is
-    positive, the remaining d_n are 0.  The Pascal row is updated by one
-    C-level add only as far as the largest cut still ahead, and reduced mod
-    p^M only once its middle entry passes p^(2M).  The stored coefficients
-    are head * d_n for n <= length, each claiming O(p^M); head is the residue
-    of exp(f(0)).  _gexp_fn builds the expansion and its tail.
+    as nu(floor(j/2)) <= nu(m(n) - 1) <= nu(n-1) - M.  m(n) only moves at
+    multiples of p, so one bisection of nu per block of p indices finds it;
+    once no cut ahead is positive (past index last), the remaining d_n are 0.
+
+    With j! = p^nu(j) u_j the sum is d_n = u_(n-1) p^(nu(n-1) - E) S_n, with
+    S_n = sum_k a_k b_(n-k), a_k = p^Ea w_k / (k-1)!, b_j = p^Eb d_j / j!
+    and E = Ea + Eb, chosen so that every a_k and b_j is p-integral: in the
+    domain Ea = 0 (v(w_k) >= nu(k)) and Eb = nu(floor(last/2)) (the
+    certificate; a d_j that is 0 mod p^M has residue 0), outside it
+    Ea = max(nu(k-1) - v(w_k)) and Eb = nu(last).  d_n mod p^M needs S_n
+    only mod p^(M+E-nu(n-1)), a dropped term is a multiple of that, and
+    nu(n-1) >= nu(k-1) + nu(n-k), so a_k is kept mod p^(M+E-nu(k-1)) and
+    b_j mod p^(M+E-nu(j)); each term is one product.  S_n divides exactly
+    by p^(E - nu(n-1)) when that is positive, and b_n is built from the
+    residue d_n, which divides exactly by p^(nu(n) - Eb) when that is.  So
+    every d_n mod p^M is that of the full sum.  The units u_j and u_j^-1
+    mod p^(M+E) come from one running product of the cofactors j / p^v_p(j)
+    and one pow.  The stored coefficients are head * d_n for n <= length,
+    each claiming O(p^M); head is the residue of exp(f(0)).  _gexp_fn
+    builds the expansion and its tail.
     """
     p, M = ctx.p, ctx.precision
     mod = p ** M
-    w = [0] + list(weights[:length])
+    w = [0] + [c % mod for c in weights[:length]]
     while len(w) > 1 and w[-1] == 0:
         w.pop()
     deg = len(w) - 1
-    nu = [0] * (length + 1)  # v_p(j), then nu[j] = v_p(j!)
+    vs = [0] * (length + 1)  # v_p(j), then nu[j] = v_p(j!)
     q = p
     while q <= length:
-        nu[q::q] = [v + 1 for v in nu[q::q]]
+        vs[q::q] = [v + 1 for v in vs[q::q]]
         q *= p
-    nu = list(accumulate(nu))
+    nu = list(accumulate(vs))
     # the cut's hypotheses on the residues: v(w_1) >= 1, v(w_k) >= nu(k)
     in_domain = all(c % p ** min(v, M) == 0 for c, v in zip(w[1:], [1, *nu[2:deg + 1]]))
     drop = M if in_domain else INF
@@ -492,21 +510,39 @@ def _gexp_kernel(ctx: PadicContext, weights: list, length: int, head: int = 1) -
     twice_m = [2 * bisect_right(nu, v - drop) for v in nu[:length:p]]
     ends = [*range(p, length, p), length]
     reaches = list(accumulate(map(sub, ends[::-1], twice_m[::-1]), max))[::-1]
-    per_n = (chain.from_iterable(map(repeat, xs, repeat(p))) for xs in (twice_m, reaches))
-    lim = mod * mod
-    row = [0, 1] + [0] * (deg - 1)  # row[k] = binom(n-1, k-1), reduced past lim
-    d = [1]
-    for n, m2, reach in zip(range(1, length + 1), *per_n):
-        if reach <= 0:  # no term is left from n on: those d_n are 0 mod p^M
-            break
-        # the row is kept up to the largest cut from n on; sum k = 1..min(cut, deg, n)
-        top, cut, mid = min(n, deg, reach), n - m2, (n + 1) // 2
-        row[2:top + 1] = map(add, row[2:top + 1], row[1:top])
-        if top > 2 and row[top if top < mid else mid] >= lim:
-            row = list(map(mod.__rmod__, row))
-        # map stops at the shortest slice, and d's is empty when cut < 0
-        terms = map(mul, map(mul, w[1:cut + 1], row[1:cut + 1]), reversed(d[n - cut:n]))
-        d.append(sum(terms) % mod)
+    # the run ends before the first block with no positive cut ahead
+    last = min(length, p * next((i for i, r in enumerate(reaches) if r <= 0), len(reaches)))
+    K = min(deg, last)
+    if in_domain:
+        Ea, Eb = 0, nu[last // 2]
+    else:
+        Ea, Eb = max(0, *(nu[k] - _vp(c, p) for k, c in enumerate(w[1:K + 1]) if c)), nu[last]
+    E = Ea + Eb
+    pw = list(accumulate(repeat(p, max(M + E, nu[last])), mul, initial=1))
+    Q = pw[M + E]
+    up = lambda e: [1] * e + pw  # p^max(0, v - e) at index v
+    down = lambda e: pw[e::-1] + [1] * len(pw)  # p^max(0, e - v) at index v
+    times = lambda x, y: x * y % Q
+    cof = [j // pw[v] for j, v in zip(range(1, last + 1), vs[1:])]
+    u = list(accumulate(cof, times, initial=1))
+    iu = list(accumulate(reversed(cof), times, initial=pow(u[-1], -1, Q)))[::-1]
+    trim = down(M + E)  # p^(M+E-nu(j)), the modulus of a_(j+1) and b_j
+    ar = [(c * pw[Ea - v] if Ea >= v else c // pw[v - Ea]) * i % trim[v]
+          for c, v, i in zip(w[1:K + 1], nu, iu)][::-1]  # ar[K-k] = a_k
+    # per n: the terms k = 1..top, then d_n = S_n // D * P * u_(n-1) mod p^M
+    # and b_n = d_n // H * P' * u_n^-1 mod p^(M+E-nu(n)), D, P, H, P' powers of p
+    tops = map(min, map(sub, range(1, last + 1),
+                        chain.from_iterable(map(repeat, twice_m, repeat(p)))), repeat(K))
+    at_n = (map(down(E).__getitem__, nu), map(up(E).__getitem__, nu), u,
+            map(up(Eb).__getitem__, nu[1:]), map(down(Eb).__getitem__, nu[1:]), iu[1:],
+            map(trim.__getitem__, nu[1:]))
+    d, b = [1], [pw[Eb]]
+    for n, top, D, P, U, H, P2, IU, B in zip(range(1, last + 1), tops, *at_n):
+        # the slices are empty when top <= 0
+        dn = sum(map(mul, ar[K - top:K], b[n - top:n])) // D * P * U % mod
+        d.append(dn)
+        b.append(dn // H * P2 * IU % B)
+    del vs, nu, cof, u, iu, ar, b, tops, at_n  # the tables go before the record is built
     d += [0] * (length + 1 - len(d))
     return _gexp_fn(ctx, d, head)
 

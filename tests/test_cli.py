@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from incgamma.cli import main
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def run(capsys, *argv):
@@ -211,3 +217,30 @@ def test_signed_values_read_as_the_equals_form(capsys, head, flag, value, tail):
     assert (code, err) == (0, "")
     assert json.loads(out)["pass"] is True
     assert run(capsys, *head, f"{flag}={value}", *tail) == (code, out, err)
+
+
+def test_calls_in_one_process_match_lone_calls(capsys, monkeypatch):
+    """main builds its parser once per process: calls made one after the
+    other, a usage error among them, each give the output and exit code of
+    the same call in a fresh interpreter."""
+    calls = [
+        ("interp-check", "--r", "5/3", "--p", "7", "--prec", "10", "--m-max", "4"),
+        ("interp-check", "--r", "2", "--p", "3", "--m-max", "-1"),
+        ("psi-tilde", "--r", "-1/2", "--m-max", "3"),
+        ("func-eq", "--poly", "1,1/2,1/3", "--p", "5", "--samples", "2", "--prec", "10"),
+    ]
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage text to this width
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    codes = []
+    for argv in calls:
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        lone = subprocess.run([sys.executable, "-m", "incgamma.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert (code, out, err) == (lone.returncode, lone.stdout, lone.stderr), argv
+        codes.append(code)
+    assert codes == [0, 2, 0, 0]

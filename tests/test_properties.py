@@ -10,7 +10,7 @@ and teichmuller are held to plain pow on the integer lifts of their inputs,
 and PadicNumber arithmetic to Fraction arithmetic on the lifts of its
 operands.  The operator layer (integrate, dirac, add, scale,
 AmiceElem.to_mahler, the values along x - k, two_var, l_x, convolutions and
-gexp kernels long enough for their lazily reduced Pascal rows) and the
+gexp kernels long enough for both halves of their scaled convolution) and the
 L-values (l_value, Psi at a PadicNumber s) meet the same lift oracles, and
 p_exp meets Fraction partial sums.  The residue operators that replaced
 PadicNumber chains are also held to those chains, claims included, and the
@@ -548,11 +548,13 @@ def gexp_coefficients(g: list, length: int) -> list:
 @settings(SETTINGS, max_examples=60)
 @given(st.data())
 def test_long_gexp_kernels_match_the_fraction_recurrence(data):
-    """phi_fr and poly_gexp past the first lazy reduction of the kernel's
-    Pascal row: every stored coefficient is d_n mod p^M, and the tail is the
-    gexp certificate clamped at 0, which bounds the next exact d_n at every
+    """phi_fr and poly_gexp run to the kernel's early stop, about 2(p-1)M
+    here, or to the length: its second half, nu(n-1) > E and nu(n) > Eb
+    (nu(j) = v_p(j!)), takes the exact quotients of the scaled convolution.
+    Every stored coefficient is d_n mod p^M, and the tail is the gexp
+    certificate clamped at 0, which bounds the next exact d_n at every
     length, below the one that reaches M too."""
-    ctx = PadicContext(data.draw(st.sampled_from((2, 3, 5))), data.draw(st.integers(2, 5)))
+    ctx = PadicContext(data.draw(st.sampled_from((2, 3, 5))), data.draw(st.integers(2, 8)))
     p, M = ctx.p, ctx.precision
     length = data.draw(st.integers(20, 70))
     if data.draw(st.booleans()):
@@ -741,3 +743,31 @@ def test_gexp_kernel_cut_matches_the_full_sum(data):
             got = _gexp_kernel(ctx, weights, length)
     expected = _gexp_fn(ctx, full_gexp_sum(weights, length, mod), head)
     assert (got._res, got.tail) == (expected._res, expected.tail), (kind, p, M, length)
+
+
+@pytest.mark.parametrize("p, M", [(7, 30), (2, 40)])
+def test_default_length_kernels_match_the_full_sum(p, M):
+    """At the default length the kernel's run holds both exact quotients of
+    its scaled convolution: S_n by p^(E - nu(n-1)) in its first half, d_n by
+    p^(nu(n) - Eb) in its second; at p = 2 the second covers most n.  phi_fr
+    at a generic r, a cubic poly_gexp and weights with a unit w_1 (outside
+    the cut's domain, where Ea > 0) give the record of the full sum and the
+    gexp certificate as tail."""
+    ctx = PadicContext(p, M)
+    mod, length = p ** M, gexp_length_for(p, M)
+    tail = Tail(max(0, gexp_tail_floor(p, length)), "gexp certificate")
+    r = Fraction(9973, 997) if p == 2 else Fraction(1234, 4567)
+    w, phi_weights = 1 - 1 / r, [0]  # w_(k+1) = w_k (k - 1/r), the k! c_k of f_r
+    for k in range(2, length + 1):
+        phi_weights.append(residue(w, mod))
+        w *= k - 1 / r
+    g = [1 + p * Fraction(2, 3 if p == 2 else 2), Fraction(-5, 3), Fraction(7, 9)]
+    cubic = [residue(math.factorial(k) * (c - (k == 1)), mod) for k, c in enumerate(g, 1)]
+    unit_w1 = [residue(Fraction(k + 2, p + 1), mod) for k in range(1, 6)]
+    cases = [(phi_fr(r, ctx), phi_weights), (poly_gexp(g, ctx), cubic),
+             (_gexp_kernel(ctx, unit_w1, length), unit_w1)]
+    for got, weights in cases:
+        expected = _gexp_fn(ctx, full_gexp_sum(weights, length, mod))
+        assert got.length == length
+        assert got._res == expected._res
+        assert got.tail == expected.tail == tail
