@@ -495,7 +495,7 @@ def _gexp_kernel(ctx: PadicContext, weights: list, length: int, head: int = 1) -
     while len(w) > 1 and w[-1] == 0:
         w.pop()
     deg = len(w) - 1
-    vs = [0] * (length + 1)  # v_p(j), then nu[j] = v_p(j!)
+    vs = [0] * (length + 1)  # v_p(j); nu[j] = v_p(j!)
     q = p
     while q <= length:
         vs[q::q] = [v + 1 for v in vs[q::q]]
