@@ -751,8 +751,8 @@ def test_default_length_kernels_match_the_full_sum(p, M):
     its scaled convolution: S_n by p^(E - nu(n-1)) in its first half, d_n by
     p^(nu(n) - Eb) in its second; at p = 2 the second covers most n.  phi_fr
     at a generic r, a cubic poly_gexp and weights with a unit w_1 (outside
-    the cut's domain, where Ea > 0) give the record of the full sum and the
-    gexp certificate as tail."""
+    the cut's domain: every term summed, Eb = nu(last), and Ea > 0 at p = 2)
+    give the record of the full sum and the gexp certificate as tail."""
     ctx = PadicContext(p, M)
     mod, length = p ** M, gexp_length_for(p, M)
     tail = Tail(max(0, gexp_tail_floor(p, length)), "gexp certificate")
@@ -761,7 +761,7 @@ def test_default_length_kernels_match_the_full_sum(p, M):
     for k in range(2, length + 1):
         phi_weights.append(residue(w, mod))
         w *= k - 1 / r
-    g = [1 + p * Fraction(2, 3 if p == 2 else 2), Fraction(-5, 3), Fraction(7, 9)]
+    g = [1 + p * Fraction(2, 3), Fraction(-5, 3), Fraction(7, 9)]
     cubic = [residue(math.factorial(k) * (c - (k == 1)), mod) for k, c in enumerate(g, 1)]
     unit_w1 = [residue(Fraction(k + 2, p + 1), mod) for k in range(1, 6)]
     cases = [(phi_fr(r, ctx), phi_weights), (poly_gexp(g, ctx), cubic),
