@@ -3,7 +3,8 @@
 Four subcommands cover the day-to-day checks:
 
     psi-tilde     the exact rational target sequence
-    eval          one value of Psi (p-adic) or the integral side (complex)
+    eval          one value of Psi (p-adic) or the integral side (complex,
+                  checked against r^s psi_tilde(s) at integer s >= 0)
     interp-check  both places against <r>^m psi_tilde(m), row per m
     func-eq       the functional equation for a polynomial weight
 
@@ -27,7 +28,7 @@ from functools import cache
 from .exact import INF, as_rational
 from .padic import PadicContext, PrecisionError, congruent, principal_part
 from .gamma_padic import (CompatibilityError, PlaceExcludedError, Psi,
-                          functional_eq_parts, psi_tilde_values, require_unit)
+                          functional_eq_parts, psi_tilde, psi_tilde_values, require_unit)
 from .gamma_complex import EPSABS, TAIL_TOL, gfn, mellin_fe_residual, psi_complex
 
 
@@ -71,6 +72,11 @@ def _row(key: dict, side: str, value: str, claim: str, good: bool = True) -> dic
             "status": "pass" if good else "fail"}
 
 
+def _rel_err(got: float, want: float) -> float:
+    """A complex value's error against the exact one: relative, absolute below 1."""
+    return abs(got - want) / max(1.0, abs(want))
+
+
 def _padic_row(key: dict, ctx: PadicContext, got, want=None) -> dict:
     """The row of got, checked against want (if given) mod p^k, k the weaker
     of their claims; an exact value is claimed at the working precision."""
@@ -88,24 +94,25 @@ def _cmd_psi_tilde(args):
 
 
 def _cmd_eval(args):
-    r = as_rational(args.r)
+    r, s = as_rational(args.r), as_rational(args.s)
     params = {"r": str(r), "s": args.s, "side": args.side}
     if args.side == "padic":
         if args.p is None:
             raise ValueError("--side padic needs --p")
         ctx = PadicContext(args.p, args.prec)
-        s = as_rational(args.s)
         params.update({"p": args.p, "prec": args.prec})
         return [_padic_row({"s": args.s}, ctx, Psi(r, s, ctx))], params
-    s = as_rational(args.s)
     if s.denominator == 1 and s >= 0:
-        val = psi_complex(float(r), int(s))
+        m = int(s)
+        val = psi_complex(float(r), m)
+        good = _rel_err(val, float(r ** m * psi_tilde(r, m))) <= args.tol
+        params["tol"] = args.tol
     elif r > 0:
-        val = gfn(float(s), float(r))
+        val, good = gfn(float(s), float(r)), True
     else:
         raise ValueError("complex side needs integer s >= 0 when r < 0")
     claim = f"quad epsabs {EPSABS:g}, tail {TAIL_TOL:g}"
-    return [_row({"s": args.s}, "complex", repr(float(val)), claim)], params
+    return [_row({"s": args.s}, "complex", repr(float(val)), claim, good)], params
 
 
 def _cmd_interp_check(args):
@@ -126,7 +133,7 @@ def _cmd_interp_check(args):
         for m in range(args.m_max + 1):
             got = psi_complex(float(r), m)
             want = float(r ** m * tildes[m])
-            err = abs(got - want) / max(1.0, abs(want))
+            err = _rel_err(got, want)
             rows.append(_row({"m": m}, "complex", repr(got), f"rel_err {err:.3e}",
                              err <= args.tol))
     return rows, params

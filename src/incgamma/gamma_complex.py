@@ -129,13 +129,15 @@ def gfn(s, r: float):
     Returns a float for real s, complex otherwise.  At s = m this is
     r^m psi_tilde(m); the complete limit is gammahat through
     Gamma(s, x) = e^{-x} gfn(s-1, x).  The tail past the cut X <= -1 is
-    at most (2/r)(1-X)^a e^{rX} (a = Re s) once 1 - X >= 2a/r.
+    at most (2/r)(1-X)^a e^{rX} (a = Re s) once 1 - X >= 2a/r.  Above
+    r = 40 quad gets a breakpoint 40 widths into the spike of width 1/r at
+    x = 0, which every node of its first panel would otherwise miss.
     """
     r = float(r)
     if r <= 0:
         raise ValueError("gfn needs r > 0; use lgfn/psi_complex below zero")
     X = 1.0 - _cut(float(s.real), r, 2.0, math.log(TAIL_TOL) - r)
-    return _contour(s, lambda x: r * x, X, 0.0, r)
+    return _contour(s, lambda x: r * x, X, 0.0, r, [-40.0 / r] if r > 40 else None)
 
 
 def lgfn(s, r: float):
@@ -222,7 +224,8 @@ def mellin_phi(coeffs, s):
     f(1 - t) = P(t) = sum beta_j t^j, beta_n < 0, the lower-order terms eat
     at most half the leading one for t >= T0, so P(t) <= -lam t with
     lam = |beta_n| T0^{n-1} / 2, and the tail past T is at most
-    (2/lam) T^a e^{-lam T} (a = Re s).
+    (2/lam) T^a e^{-lam T} (a = Re s).  A slope g_1 > 40 at 0 gets a
+    breakpoint at -40/g_1, as gfn's r does.
     """
     g = [float(c) for c in coeffs]
     beta = _poly_shift_coeffs(g)
@@ -241,7 +244,7 @@ def mellin_phi(coeffs, s):
             acc = (acc + c) * x
         return acc
 
-    return _contour(s, f, 1.0 - T, 0.0)
+    return _contour(s, f, 1.0 - T, 0.0, points=[-40.0 / g[0]] if g[0] > 40 else None)
 
 
 def mellin_fe_residual(coeffs, s) -> float:

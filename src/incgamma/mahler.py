@@ -38,11 +38,11 @@ k <= n - 2 m(n) only, 32-41 % of the terms at the default length.  It sums
 them as one convolution of factorial-scaled residues: with j! = p^nu(j) u_j,
 u_j a unit,
     d_n = u_(n-1) p^(nu(n-1) - E) sum_k a_k b_(n-k),
-    a_k = p^Ea w_k / (k-1)!,  b_j = p^Eb d_j / j!,  E = Ea + Eb,
-where the certificate (or, outside its hypotheses, the valuations of the
-weights) makes a_k and b_j p-integral, so each term is one product of
-residues mod p^(M+E) and no binomial is formed.  Every d_n mod p^M is that
-of the full sum (see _gexp_kernel).
+    a_k = w_k / (k-1)!,  b_j = p^E d_j / j!,  E = v_p(floor(last/2)!),
+last the kernel's final index, where the certificate and its hypotheses
+make a_k and b_j p-integral, so each term is one product of residues mod
+p^(M+E) and no binomial is formed.  Every d_n mod p^M is that of the full
+sum; weights outside those hypotheses raise (see _gexp_kernel).
 """
 
 from __future__ import annotations
@@ -461,11 +461,11 @@ def _gexp_kernel(ctx: PadicContext, weights: list, length: int, head: int = 1) -
         d_n = sum_{k=1}^{min(n, deg)} w_k binom(n-1, k-1) d_{n-k};
     trailing zero weights are dropped first so deg only counts the live ones.
 
-    The sum stops at k = n - 2 m(n), m(n) the least m with
-    nu(m) > nu(n-1) - M, nu(j) = v_p(j!).  When the residues have
-    v(w_1) >= 1 and v(w_k) >= nu(k) (checked once; otherwise every term is
-    summed), the tail certificate gives v(d_j) >= min(M, nu(j) - nu(floor(j/2)))
-    for the residues d_j, and a dropped term, j = n - k < 2 m(n), has
+    The residues must have v(w_1) >= 1 and v(w_k) >= nu(k), nu(j) = v_p(j!),
+    the hypotheses of the tail certificate; other weights raise ValueError.
+    The certificate then gives v(d_j) >= min(M, nu(j) - nu(floor(j/2))) for
+    the residues d_j, and the sum stops at k = n - 2 m(n), m(n) the least m
+    with nu(m) > nu(n-1) - M: a dropped term, j = n - k < 2 m(n), has
         v(w_k) + nu(n-1) - nu(k-1) - nu(j) + v(d_j)
             >= min(M, nu(n-1) - nu(floor(j/2))) >= M,
     as nu(floor(j/2)) <= nu(m(n) - 1) <= nu(n-1) - M.  m(n) only moves at
@@ -473,21 +473,19 @@ def _gexp_kernel(ctx: PadicContext, weights: list, length: int, head: int = 1) -
     once no cut ahead is positive (past index last), the remaining d_n are 0.
 
     With j! = p^nu(j) u_j the sum is d_n = u_(n-1) p^(nu(n-1) - E) S_n, with
-    S_n = sum_k a_k b_(n-k), a_k = p^Ea w_k / (k-1)!, b_j = p^Eb d_j / j!
-    and E = Ea + Eb, chosen so that every a_k and b_j is p-integral: in the
-    domain Ea = 0 (v(w_k) >= nu(k)) and Eb = nu(floor(last/2)) (the
-    certificate; a d_j that is 0 mod p^M has residue 0), outside it
-    Ea = max(nu(k-1) - v(w_k)) and Eb = nu(last).  d_n mod p^M needs S_n
-    only mod p^(M+E-nu(n-1)), a dropped term is a multiple of that, and
-    nu(n-1) >= nu(k-1) + nu(n-k), so a_k is kept mod p^(M+E-nu(k-1)) and
-    b_j mod p^(M+E-nu(j)); each term is one product.  S_n divides exactly
-    by p^(E - nu(n-1)) when that is positive, and b_n is built from the
-    residue d_n, which divides exactly by p^(nu(n) - Eb) when that is.  So
-    every d_n mod p^M is that of the full sum.  The units u_j and u_j^-1
-    mod p^(M+E) come from one running product of the cofactors j / p^v_p(j)
-    and one pow.  The stored coefficients are head * d_n for n <= length,
-    each claiming O(p^M); head is the residue of exp(f(0)).  _gexp_fn
-    builds the expansion and its tail.
+    S_n = sum_k a_k b_(n-k), a_k = w_k / (k-1)! and b_j = p^E d_j / j!,
+    E = nu(floor(last/2)): v(w_k) >= nu(k) makes every a_k p-integral, and
+    the certificate every b_j, j <= last (a d_j that is 0 mod p^M has
+    residue 0).  d_n mod p^M needs S_n only mod p^(M+E-nu(n-1)), a dropped
+    term is a multiple of that, and nu(n-1) >= nu(k-1) + nu(n-k), so a_k is
+    kept mod p^(M+E-nu(k-1)) and b_j mod p^(M+E-nu(j)); each term is one
+    product.  S_n divides exactly by p^(E - nu(n-1)) when that is positive,
+    and b_n is built from the residue d_n, which divides exactly by
+    p^(nu(n) - E) when that is.  So every d_n mod p^M is that of the full
+    sum.  The units u_j and u_j^-1 mod p^(M+E) come from one running
+    product of the cofactors j / p^v_p(j) and one pow.  The stored
+    coefficients are head * d_n for n <= length, each claiming O(p^M); head
+    is the residue of exp(f(0)).  _gexp_fn builds the expansion and its tail.
     """
     p, M = ctx.p, ctx.precision
     mod = p ** M
@@ -501,42 +499,37 @@ def _gexp_kernel(ctx: PadicContext, weights: list, length: int, head: int = 1) -
         vs[q::q] = [v + 1 for v in vs[q::q]]
         q *= p
     nu = list(accumulate(vs))
-    # the cut's hypotheses on the residues: v(w_1) >= 1, v(w_k) >= nu(k)
-    in_domain = all(c % p ** min(v, M) == 0 for c, v in zip(w[1:], [1, *nu[2:deg + 1]]))
-    drop = M if in_domain else INF
+    if any(c % p ** min(v, M) for c, v in zip(w[1:], [1, *nu[2:deg + 1]])):
+        raise ValueError("gexp weights outside the tail certificate: "
+                         "need v(w_1) >= 1 and v(w_k) >= v_p(k!)")
     # nu(n-1), so m(n), is constant on each block n = s+1..s+p, s = 0, p, 2p, ...,
     # where the cut n - 2 m(n) rises by one per step, so a block's last cut is its
-    # largest; reaches[b] is the largest cut from block b on (drop = INF: m = 0)
-    twice_m = [2 * bisect_right(nu, v - drop) for v in nu[:length:p]]
+    # largest; reaches[b] is the largest cut from block b on
+    twice_m = [2 * bisect_right(nu, v - M) for v in nu[:length:p]]
     ends = [*range(p, length, p), length]
     reaches = list(accumulate(map(sub, ends[::-1], twice_m[::-1]), max))[::-1]
     # the run ends before the first block with no positive cut ahead
     last = min(length, p * next((i for i, r in enumerate(reaches) if r <= 0), len(reaches)))
-    K = min(deg, last)
-    if in_domain:
-        Ea, Eb = 0, nu[last // 2]
-    else:
-        Ea, Eb = max(0, *(nu[k] - _vp(c, p) for k, c in enumerate(w[1:K + 1]) if c)), nu[last]
-    E = Ea + Eb
+    K, E = min(deg, last), nu[last // 2]
     pw = list(accumulate(repeat(p, max(M + E, nu[last])), mul, initial=1))
     Q = pw[M + E]
-    up = lambda e: [1] * e + pw  # p^max(0, v - e) at index v
-    down = lambda e: pw[e::-1] + [1] * len(pw)  # p^max(0, e - v) at index v
+    # p^max(0, v - E), p^max(0, E - v) and p^max(0, M+E-v) at index v
+    up = [1] * E + pw
+    down, trim = (pw[e::-1] + [1] * len(pw) for e in (E, M + E))
     times = lambda x, y: x * y % Q
     cof = [j // pw[v] for j, v in zip(range(1, last + 1), vs[1:])]
     u = list(accumulate(cof, times, initial=1))
     iu = list(accumulate(reversed(cof), times, initial=pow(u[-1], -1, Q)))[::-1]
-    trim = down(M + E)  # p^(M+E-nu(j)), the modulus of a_(j+1) and b_j
-    ar = [(c * pw[Ea - v] if Ea >= v else c // pw[v - Ea]) * i % trim[v]
-          for c, v, i in zip(w[1:K + 1], nu, iu)][::-1]  # ar[K-k] = a_k
+    # trim[nu(j)], the modulus of a_(j+1) and b_j; ar[K-k] = a_k
+    ar = [c // pw[v] * i % trim[v] for c, v, i in zip(w[1:K + 1], nu, iu)][::-1]
     # per n: the terms k = 1..top, then d_n = S_n // D * P * u_(n-1) mod p^M
     # and b_n = d_n // H * P' * u_n^-1 mod p^(M+E-nu(n)), D, P, H, P' powers of p
     tops = map(min, map(sub, range(1, last + 1),
                         chain.from_iterable(map(repeat, twice_m, repeat(p)))), repeat(K))
-    at_n = (map(down(E).__getitem__, nu), map(up(E).__getitem__, nu), u,
-            map(up(Eb).__getitem__, nu[1:]), map(down(Eb).__getitem__, nu[1:]), iu[1:],
+    at_n = (map(down.__getitem__, nu), map(up.__getitem__, nu), u,
+            map(up.__getitem__, nu[1:]), map(down.__getitem__, nu[1:]), iu[1:],
             map(trim.__getitem__, nu[1:]))
-    d, b = [1], [pw[Eb]]
+    d, b = [1], [pw[E]]
     for n, top, D, P, U, H, P2, IU, B in zip(range(1, last + 1), tops, *at_n):
         # the slices are empty when top <= 0
         dn = sum(map(mul, ar[K - top:K], b[n - top:n])) // D * P * U % mod

@@ -5,12 +5,11 @@ p^abs_precision.  Every operation propagates the worst-case absolute
 precision of its result; nothing is ever claimed beyond what the inputs
 support.  Exact zero is the special case valuation = abs_precision = +inf.
 
-The unit-group structure lives here too: the Teichmuller character (computed
-by iterating x -> x^p to its fixed point), principal parts <u> = u/omega(u),
-powers u^s of principal units as one modular power, and the exponential
-with its convergence domain.  For p = 2 the only root of unity of odd order
-in Q_2 is 1, so omega = 1 and <u> = u on all of Z_2^x; the fixed-point
-iteration converges to exactly that.
+The unit-group structure lives here too: the Teichmuller character and
+powers u^s of principal units, each one modular power, principal parts
+<u> = u/omega(u), and the exponential with its convergence domain.  For
+p = 2 the only root of unity of odd order in Q_2 is 1, so omega = 1 and
+<u> = u on all of Z_2^x.
 """
 
 from __future__ import annotations
@@ -311,26 +310,19 @@ def congruent(x: PadicNumber, y, k: int | None = None) -> bool:
 
 def teichmuller(u: PadicNumber) -> PadicNumber:
     """Teichmuller representative: the root of unity of order prime to p
-    congruent to u mod p, computed as the fixed point of x -> x^p.
+    congruent to u mod p, as the one modular power u^(p^(k-1)) mod p^k.
 
-    For p = 2 the iteration lands on 1 for every unit.
+    (Z/p^k)^x is mu_(p-1) times the principal units mod p^k, a group of
+    order p^(k-1), so the power kills the principal part and fixes omega(u),
+    as p^(k-1) = 1 mod p-1.  For p = 2 every unit is principal, and the
+    power is 1.
     """
     if not isinstance(u, PadicNumber):
         raise TypeError("teichmuller needs a PadicNumber; embed first")
     if u.valuation != 0:
         raise ValueError("teichmuller character needs a p-adic unit")
-    p = u.ctx.p
-    k = u.abs_precision
-    mod = p ** k
-    x = u.lift() % mod
-    for _ in range(k + 3):
-        nxt = pow(x, p, mod)
-        if nxt == x:
-            break
-        x = nxt
-    else:
-        raise ArithmeticError("Teichmuller iteration failed to stabilize")
-    return PadicNumber(u.ctx, 0, x, k)
+    p, k = u.ctx.p, u.abs_precision
+    return PadicNumber(u.ctx, 0, pow(u.lift(), p ** (k - 1), p ** k), k)
 
 
 def principal_part(u: PadicNumber) -> PadicNumber:

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from incgamma import cli
 from incgamma.cli import main
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -57,6 +58,34 @@ def test_eval_complex(capsys):
     assert abs(float(doc["rows"][0]["value"]) - 65.0) < 1e-8
     # --tol does not reach quad: the claim names the tolerances that ran
     assert doc["rows"][0]["precision_claim"] == "quad epsabs 1e-12, tail 1e-13"
+
+
+@pytest.mark.parametrize("tol, code", [("1e-8", 1), ("0.1", 0)])
+def test_eval_complex_checks_integer_s(capsys, monkeypatch, tol, code):
+    # at integer s >= 0 the value is held to r^s psi_tilde(s) = 65 under --tol
+    monkeypatch.setattr(cli, "psi_complex", lambda r, m: 66.0)
+    got, doc = run_json(capsys, "eval", "--side", "complex", "--r", "1", "--s", "4",
+                        "--tol", tol)
+    assert got == code
+    assert doc["params"]["tol"] == float(tol)
+    assert doc["rows"][0]["value"] == "66.0"
+    assert doc["rows"][0]["status"] == ("pass" if code == 0 else "fail")
+
+
+def test_eval_complex_far_above_zero(capsys):
+    # r^2 psi_tilde(2) = 40000400002; the integrand is a spike of width 1/r at
+    # x = 0, which quad finds only through gfn's endpoint breakpoint
+    code, doc = run_json(capsys, "eval", "--side", "complex", "--r", "200000", "--s", "2")
+    assert code == 0
+    assert abs(float(doc["rows"][0]["value"]) / 40000400002 - 1) <= 1e-8
+
+
+def test_func_eq_complex_steep_linear_weight(capsys):
+    # a true identity whose Phi values need mellin_phi's endpoint breakpoint
+    # for the slope 1e5 at x = 0
+    code, doc = run_json(capsys, "func-eq", "--poly", "100000", "--p", "3", "--complex")
+    assert code == 0
+    assert [row["status"] for row in doc["rows"]] == ["pass"] * 10
 
 
 def test_eval_padic_needs_p(capsys):

@@ -103,6 +103,26 @@ def test_psi_complex_far_below_zero():
             assert rel_err(psi_complex(float(r), m), want) <= 1e-8, (r, m)
 
 
+def test_gfn_far_above_zero():
+    # from r near 1.5e5 on, every node of quad's first panel next to x = 0
+    # misses the e^{rx} spike of width 1/r there unless gfn's endpoint
+    # breakpoint splits it off; the exact rationals need no mpmath
+    for e in range(33):
+        r = Fraction(10 ** (e / 4))
+        for m in (0, 2, 7, 20):
+            want = float(r ** m * psi_tilde(r, m))
+            assert rel_err(gfn(m, float(r)), want) <= 1e-8, (r, m)
+
+
+def test_mellin_phi_steep_linear_weight():
+    # the same spike for f = c x, whose Phi(2) is (c^2 + 2c + 2) / c^3: a
+    # value below 1, so the error is taken relative to it
+    for e in range(33):
+        c = 10 ** (e / 4)
+        want = (c * c + 2 * c + 2) / c ** 3
+        assert abs(mellin_phi([c], 2.0) - want) <= 1e-8 * want, c
+
+
 def test_lgfn_far_below_zero_against_mpmath():
     # the same spike in both branches of lgfn, s >= 0 and the u-substitution
     with mpmath.workdps(30):
