@@ -30,7 +30,7 @@ from .series import TruncSeries
 from .mahler import (MahlerFn, _gexp_fn, _gexp_kernel, _rational_weights, convolve,
                      gexp_length_for)
 from .measure import dirac, integrate
-from .transform import factorial_length_for, l_value, l_values, one_minus_x_pow
+from .transform import _graded_l_values, factorial_length_for, l_value, one_minus_x_pow
 
 
 class PlaceExcludedError(ValueError):
@@ -94,15 +94,15 @@ def phi_fr(r, ctx: PadicContext, length: int | None = None,
     Its Mahler coefficients are the d_n of exp(f_r - t) = sum d_n t^n/n!
     mod p^M, from the gexp kernel or, for r of small height, the D-finite
     recurrence of _phi_dfinite, with the same residues and tail either way.
+    r must be a unit at p, else PlaceExcludedError.
     Default sizing picks the shortest length whose gexp certificate reaches
     tail_target (default: the context precision), its only use.  Expansions
     come from _phi_expansion, an LRU cache keyed by (r, ctx, length); a hit
     returns the cached expansion itself, which is immutable.
     """
-    r = require_unit(r, ctx.p)
     if length is None:
         length = gexp_length_for(ctx.p, ctx.precision if tail_target is None else tail_target)
-    return _phi_expansion(r, ctx, length)
+    return _phi_expansion(as_rational(r), ctx, length)
 
 
 # Bounded LRUs that hand out immutable values, so no caller can change a
@@ -112,17 +112,17 @@ def phi_fr(r, ctx: PadicContext, length: int | None = None,
 def _phi_expansion(r: Fraction, ctx: PadicContext, length: int) -> MahlerFn:
     """phi_r through index length, for r = A/B in lowest terms, B > 0.
 
-    Per index the cut kernel sums about length/5 terms, and _phi_dfinite
-    costs about 1.4 terms per unit of |A| and 0.8 per unit of |B-A|
-    (break-even measured at p 3-13, prec 30-40), so it runs when
-    7 |A| + 4 |B-A| < length.  The kernel weights of f_r - t are w_1 = 0 and
+    r must be a unit at p (PlaceExcludedError otherwise), checked before
+    either route runs.  The kernel weights of f_r - t are w_1 = 0 and
     w_k = G_k A^-(k-1), G_1 = 1, G_(k+1) = -G_k (B - kA), as f_r has
     c_k = G_k / (A^(k-1) k!).  Only the unit A is inverted, and both routes
-    end in mahler._gexp_fn, so their records and tails are identical.
+    end in mahler._gexp_fn, so their records and tails are identical;
+    _takes_dfinite picks the route.
     """
+    require_unit(r, ctx.p)
     A, B = r.numerator, r.denominator
     mod = ctx.p ** ctx.precision
-    if 7 * abs(A) + 4 * abs(B - A) < length:
+    if _takes_dfinite(A, B, length):
         return _gexp_fn(ctx, _phi_dfinite(A, B, mod, length))
     Ainv = pow(A, -1, mod)
     weights = [0]
@@ -132,6 +132,19 @@ def _phi_expansion(r: Fraction, ctx: PadicContext, length: int) -> MahlerFn:
         scale = scale * Ainv % mod
         weights.append(G * scale % mod)
     return _gexp_kernel(ctx, weights, length)
+
+
+def _takes_dfinite(A: int, B: int, length: int) -> bool:
+    """Whether _phi_dfinite, not the gexp kernel, builds phi_(A/B) through
+    index length: when h = 7 |A| + 4 |B-A| < length / 2.
+
+    Per index the cut kernel sums about length/5 terms, one C-level product
+    each.  Timed against it at p 3-13, prec 40-60, _phi_dfinite breaks even
+    at h between about 0.4 and 0.75 times the length, so per index it costs
+    about 2.8 such products per unit of |A| and 1.6 per unit of |B-A| (0.4
+    per unit of h).
+    """
+    return 2 * (7 * abs(A) + 4 * abs(B - A)) < length
 
 
 def _phi_dfinite(A: int, B: int, mod: int, length: int) -> list:
@@ -163,9 +176,9 @@ def _phi_dfinite(A: int, B: int, mod: int, length: int) -> list:
 
 @lru_cache(maxsize=32)
 def _twist_and_lvalues(r: Fraction, ctx: PadicContext, K: int) -> tuple:
-    """(<r>, the LValues of phi_r's default expansion through index K):
-    everything a warm Phi or Psi reads."""
-    return principal_part(ctx.number(r)), l_values(phi_fr(r, ctx), K)
+    """(<r>, the graded LValues of phi_r's default expansion through index K,
+    see transform._graded_l_values): everything a warm Phi or Psi reads."""
+    return principal_part(ctx.number(r)), _graded_l_values(phi_fr(r, ctx), K)
 
 
 def poly_gexp(coeffs, ctx: PadicContext, length: int | None = None) -> MahlerFn:
@@ -294,7 +307,7 @@ def functional_eq_parts(coeffs, s, ctx: PadicContext, target: int | None = None)
     if target is None:
         target = ctx.precision
     phi = poly_gexp(coeffs, ctx)
-    vals = l_values(phi, factorial_length_for(ctx.p, target))
+    vals = _graded_l_values(phi, factorial_length_for(ctx.p, target))
 
     def value_at(x):
         return l_value(phi, x, target=target, values=vals)

@@ -48,7 +48,7 @@ sum; weights outside those hypotheses raise (see _gexp_kernel).
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import accumulate, chain, repeat, zip_longest
@@ -331,8 +331,8 @@ def _line(phi: MahlerFn, x, K: int):
     binom(X, n) by valuation >= N - floor(log_p n), which caps the claim at
     a PadicNumber (a Fraction's N puts the moves below p^(M - shift)).  With
     a'_n = (-1)^n a_n, phi(x - k) is the dot of (-1)^n binom(X + 1, n) with
-    the a'_n after k + 1 suffix-sum passes: one C-level pass per k, reduced
-    mod p^(M - shift) once the total passes its square.
+    the a'_n after k + 1 suffix-sum passes (_passes, every pass mod
+    p^(M - shift)).
     """
     ctx, L, T = phi.ctx, phi.length, phi.tail.exponent
     p, prec = ctx.p, ctx.precision
@@ -356,7 +356,8 @@ def _line(phi: MahlerFn, x, K: int):
             N = W - min(0, phi.min_valuation()) + digit_count(L + 1, p)
             X, top = zp_residue(x, ctx, N)[0], -1
         claims = [W if 0 <= X - k <= top else min(W, T) for k in range(K + 1)]
-    mod = p ** max(0, W - shift)
+    e = max(0, W - shift)
+    mod = p ** e
     if not K:  # phi(x) alone: one dot with the exact binom(X, n), 0 past X >= 0
         row = [1]
         for n in range(min(L, X) if X >= 0 else L):
@@ -365,14 +366,34 @@ def _line(phi: MahlerFn, x, K: int):
     row = [1]  # (-1)^n binom(X + 1, n) = binom(n - X - 2, n), 0 past X + 1 >= 0
     for n in range(min(L, X + 1) if X >= -1 else L):
         row.append(row[-1] * (n - X - 1) // (n + 1))
-    row = list(map(mod.__rmod__, reversed(row)))
-    b, out = [(-a if n % 2 else a) % mod for n, a in enumerate(res)][::-1], []
-    for _ in range(K + 1):
+    return shift, _passes(p, phi._res, list(map(mod.__rmod__, row)), [e] * (K + 1)), claims
+
+
+def _passes(p: int, rec: _Residues, row: list, exps: list) -> list:
+    """The dots sum_n row[n] c_k(n) mod p^exps[k], k = 0..len(exps) - 1, for
+    exps nonincreasing: c_k is a'_m = (-1)^m res[m] after k + 1 suffix-sum
+    passes, c_k(n) = sum_(m>=n) binom(m-n+k, k) a'_m.
+
+    One C-level pass per k over the residues, last first, reduced mod
+    p^exps[k] once the total passes its square.  Pass k first drops the a'_m
+    from the first m on whose stored valuations all reach shift + exps[k],
+    residues that are 0 mod p^exps[k]: the binomials are integers, so they
+    would move pass k and every later pass only by multiples of p^exps[k],
+    and no later pass asks for more digits.
+    """
+    low = list(accumulate(reversed(rec.vals), min))[::-1]  # low[m] = min(vals[m:])
+    mod = p ** exps[0]
+    b = [(-a if n % 2 else a) % mod for n, a in enumerate(rec.res)][::-1]
+    out = []
+    for e in exps:
+        mod, keep = p ** e, bisect_left(low, rec.shift + e)
+        if keep < len(b):  # b[i] = c(len(b) - 1 - i); c(n) sums a'_m, m >= n, only
+            b = b[len(b) - keep:]
         b = list(accumulate(b))
-        out.append(sum(map(mul, b[L + 1 - len(row):], row)) % mod)
-        if b[-1] >= mod * mod:
+        out.append(sum(map(mul, reversed(b), row)) % mod)
+        if b and b[-1] >= mod * mod:
             b = list(map(mod.__rmod__, b))
-    return shift, out, claims
+    return out
 
 
 def convolve(a: MahlerFn, b: MahlerFn) -> MahlerFn:

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 from .exact import INF, _vp, as_rational, vp_factorial
 from .padic import PadicContext, PadicNumber, congruent, zp_residue
-from .mahler import MahlerFn, Tail, _line, _new, _record, convolve
+from .mahler import MahlerFn, Tail, _line, _new, _passes, _record, convolve
 from .measure import _twisted, dirac, integrate
 
 
@@ -132,7 +132,10 @@ class LValues:
 
     shift <= 0 is the lowest stored coefficient valuation when that is
     negative, so the residues are plain ints, read mod p^(claim - shift); norm is
-    phi.min_valuation(), which bounds the terms l_value leaves out.
+    phi.min_valuation(), which bounds the terms l_value leaves out.  A graded
+    record (_graded_l_values) knows residues[k] only mod
+    p^(claim - shift - v_p(k!)): l_value multiplies it by (S)_k, an integer
+    multiple of k!, so its sums keep every digit they claim.
     """
 
     ctx: PadicContext
@@ -150,6 +153,35 @@ def l_values(phi: MahlerFn, K: int) -> LValues:
     return LValues(phi.ctx, tuple(residues), claims[0], shift, phi.min_valuation())
 
 
+def _graded_l_values(phi: MahlerFn, K: int) -> LValues:
+    """The record of l_values(phi, K) with value k known only mod
+    p^(claim - v_p(k!)), all that an l_value sum reads.
+
+    claim = min(M, T) as l_values claims it: M the least coefficient claim
+    (the precision when every coefficient is exact), T the tail.  Pass k of
+    mahler._passes runs mod p^e_k, e_k = max(0, claim - shift - v_p(k!)),
+    on the residues res[n] = a_n / p^shift, and first drops the top
+    coefficients whose valuations all reach claim - v_p(k!), the ones whose
+    residues are 0 mod p^e_k.  l_value sums (S)_k times residue k mod p^n,
+    n <= claim - shift, and (S)_k, even reduced mod p^n, is a multiple of
+    p^min(n, v_p(k!)); so a residue right mod p^e_k moves no term mod p^n,
+    and every sum, value and claim, is the one over l_values(phi, K).
+    A negative shift (some a_n of valuation below 0): the residues carry
+    p^-shift, so pass k runs mod p^(claim - shift - v_p(k!)), and a_n drops
+    at valuation claim - v_p(k!), where its residue has valuation e_k;
+    p^shift times value k is right mod p^(claim - v_p(k!)), as at shift 0.
+    A tail below M caps the claim at T: every unstored a_n has valuation
+    >= T, so the full record is right only mod p^T, and the grading starts
+    there, e_k = T - shift - v_p(k!).  Once v_p(k!) >= claim - shift,
+    e_k = 0 and value k is 0, as term k is 0 mod p^n.
+    """
+    ctx, (shift, M, _, _, _) = phi.ctx, phi._res
+    claim = min(ctx.precision if M == INF else M, phi.tail.exponent)
+    exps = [max(0, claim - shift - vp_factorial(k, ctx.p)) for k in range(K + 1)]
+    return LValues(ctx, tuple(_passes(ctx.p, phi._res, [1], exps)), claim, shift,
+                   phi.min_valuation())
+
+
 def l_value(phi: MahlerFn | None, s, target: int | None = None,
             values: LValues | list | None = None) -> PadicNumber:
     """sum_k (s)_k phi(-1 - k) for k <= K: l_x(phi, -1) evaluated at s directly.
@@ -157,7 +189,10 @@ def l_value(phi: MahlerFn | None, s, target: int | None = None,
     K is the least length with v_p((K+1)!) >= target.  values caches the
     phi(-1 - k) across calls: an LValues record from l_values (phi may then
     be None), or a list of PadicNumbers, which is converted once; either
-    must reach index K.  The sum runs on residues, and claims
+    must reach index K.  Without values the sum reads _graded_l_values(phi,
+    K), whose value k is known only mod p^(claim - v_p(k!)): term k is that
+    value times (S)_k, a multiple of k!, so each term, the sum and its claim
+    are those over l_values(phi, K).  The sum runs on residues, and claims
     min(values claim, M + shift, N + shift, v_p((K+1)!) + e), where
     M = ctx.precision, N is the precision of a PadicNumber s, shift the
     record's (0 unless some value has negative valuation) and e =
@@ -169,7 +204,7 @@ def l_value(phi: MahlerFn | None, s, target: int | None = None,
         target = ctx.precision
     K = factorial_length_for(p, target)
     if values is None:
-        values = l_values(phi, K)
+        values = _graded_l_values(phi, K)
     elif not isinstance(values, LValues):  # the list's residue record (empty stays empty)
         shift, claim, residues, _, _ = MahlerFn(ctx, values, Tail.exact())._res
         values = LValues(ctx, residues[:len(values)], claim, shift, phi.min_valuation())

@@ -100,6 +100,37 @@ def test_phi_fr_routes_by_height(monkeypatch):
     assert small.length == L and small.tail == big.tail
 
 
+def test_phi_expansion_refuses_a_non_unit_on_either_route(monkeypatch):
+    """r = 1/3 at p = 3 is routed to the D-finite recurrence, which would
+    claim Tail(10, "gexp certificate") at length 59 though the exact d_60 is
+    a unit; 1/12 is routed to the kernel.  Every non-unit r is refused
+    before either route runs."""
+    ctx = PadicContext(3, 10)
+    monkeypatch.setattr(gamma_padic, "_phi_dfinite", refuse)
+    monkeypatch.setattr(gamma_padic, "_gexp_kernel", refuse)
+    assert gamma_padic._takes_dfinite(1, 3, 59)
+    assert not gamma_padic._takes_dfinite(1, 12, 59)
+    for r in (Fraction(1, 3), Fraction(1, 12), Fraction(3, 4)):
+        with pytest.raises(PlaceExcludedError):
+            gamma_padic._phi_expansion.__wrapped__(r, ctx, 59)
+        with pytest.raises(PlaceExcludedError):
+            phi_fr(r, ctx)
+
+
+@pytest.mark.parametrize("r, p, prec, dfinite", [
+    # the small-height r of the warm Psi benchmark keep the recurrence
+    ("2", 3, 60, True), ("3", 2, 40, True), ("5/3", 7, 40, True),
+    ("-2", 5, 40, True), ("3/2", 11, 30, True),
+    # h = 291 is past half of L = 359, where the kernel is faster
+    ("41/42", 5, 40, False), ("1234/4567", 13, 60, False)])
+def test_phi_fr_route_at_the_default_length(r, p, prec, dfinite):
+    r = Fraction(r)
+    length = gexp_length_for(p, prec)
+    h = 7 * abs(r.numerator) + 4 * abs(r.denominator - r.numerator)
+    assert gamma_padic._takes_dfinite(r.numerator, r.denominator, length) == dfinite
+    assert (2 * h < length) == dfinite
+
+
 def test_phi_fr_short_recurrence_keeps_the_certificate(monkeypatch):
     """At a length whose certificate falls short of the precision, the
     recurrence route claims the kernel's certificate and record."""

@@ -15,6 +15,10 @@ L-values (l_value, Psi at a PadicNumber s) meet the same lift oracles, and
 p_exp meets Fraction partial sums.  The residue operators that replaced
 PadicNumber chains are also held to those chains, claims included, and the
 D-finite recurrence for phi_r to the gexp kernel, record and tail included.
+The graded L-value record is held to l_values mod p^(claim - v_p(k!)), and
+the l_value, Phi and Psi sums over it to those over l_values.  Psi at every
+kind of s also meets an oracle that never reads phi_r: the Mahler series
+of the forward differences of <r>^m psi_tilde(m).
 """
 
 import math
@@ -26,16 +30,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from incgamma.exact import INF, binom, falling, vp, vp_factorial
-from incgamma.gamma_padic import (Psi, _phi_dfinite, _phi_expansion, f_r_series, phi_fr,
-                                  poly_gexp, psi_tilde)
+from incgamma.gamma_padic import (Phi, Psi, _phi_dfinite, _phi_expansion, f_r_series,
+                                  phi_fr, poly_gexp, psi_tilde)
 from incgamma.mahler import (ExactMahler, MahlerFn, Tail, _gexp_fn, _gexp_kernel, _line,
                              convolve, from_gexp, gexp_length_for, gexp_tail_floor)
 from incgamma.measure import dirac, integrate, mu_psi_x
 from incgamma.padic import (DivergentSeriesError, PadicContext, PadicNumber, congruent,
                             p_exp, principal_part, principal_power, teichmuller)
 from incgamma.series import TruncSeries
-from incgamma.transform import (AmiceElem, factorial_length_for, l_value, l_x,
-                                one_minus_x_pow, two_var)
+from incgamma.transform import (AmiceElem, _graded_l_values, factorial_length_for, l_value,
+                                l_values, l_x, one_minus_x_pow, two_var)
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 LIFTS = 3
@@ -779,3 +783,113 @@ def test_gexp_kernel_refuses_weights_outside_the_certificate(p, M):
         for weights in ([1 + p * k for k in range(length)], phi_weights(r, length, p ** M)):
             with pytest.raises(ValueError, match="outside the tail certificate"):
                 _gexp_kernel(ctx, weights, length)
+
+
+@st.composite
+def lvalue_cases(draw):
+    """(ctx, phi) for the L-value records: a drawn expansion (negative shifts,
+    exact tails, tails below the precision, 1-7 coefficients) or phi_r at
+    its default length or a shorter one, whose certificate may fall short."""
+    ctx = PadicContext(draw(st.sampled_from((2, 3, 5, 7, 11, 13))), draw(st.integers(1, 12)))
+    p = ctx.p
+    if draw(st.booleans()):
+        return ctx, draw(expansions(ctx))[0]
+    r = Fraction(draw(st.integers(-60, 60).filter(lambda a: a % p)),
+                 draw(st.integers(1, 30).filter(lambda d: d % p)))
+    default = gexp_length_for(p, ctx.precision)
+    return ctx, phi_fr(r, ctx, length=draw(st.one_of(st.just(default), st.integers(1, default))))
+
+
+@st.composite
+def zp_points(draw, ctx):
+    """An int, a Fraction with p-free denominator or a PadicNumber known mod
+    p^N, N <= precision + 2."""
+    p = ctx.p
+    kind = draw(st.sampled_from(("int", "fraction", "padic")))
+    if kind == "int":
+        return draw(st.integers(-50, 500))
+    if kind == "fraction":
+        return Fraction(draw(st.integers(-500, 500)),
+                        draw(st.integers(1, 60).filter(lambda d: d % p)))
+    N = draw(st.integers(0, ctx.precision + 2))
+    return PadicNumber._make(ctx, 0, draw(st.integers(0, p ** N - 1)), N)
+
+
+@settings(SETTINGS, max_examples=120)
+@given(st.data())
+def test_graded_l_values_are_l_values_mod_the_graded_power(data):
+    """Value k of the graded record is that of l_values mod
+    p^(claim - shift - v_p(k!)), with the same claim, shift and norm, and
+    l_value sums over it equal those over the full record in value and claim."""
+    ctx, phi = data.draw(lvalue_cases())
+    p = ctx.p
+    K = factorial_length_for(p, ctx.precision) + data.draw(st.integers(0, 3))
+    full, graded = l_values(phi, K), _graded_l_values(phi, K)
+    assert (graded.ctx, graded.claim, graded.shift, graded.norm) == \
+        (full.ctx, full.claim, full.shift, full.norm)
+    assert len(graded.residues) == K + 1
+    for k, (a, g) in enumerate(zip(full.residues, graded.residues)):
+        assert g == a % p ** max(0, full.claim - full.shift - vp_factorial(k, p)), (phi, k)
+    target = data.draw(st.integers(1, ctx.precision))
+    for s in data.draw(st.lists(zp_points(ctx), min_size=3, max_size=3)):
+        got = l_value(phi, s, target=target)
+        assert got == l_value(phi, s, target=target, values=full), (phi, s, target)
+
+
+@settings(SETTINGS, max_examples=60)
+@given(st.data())
+def test_phi_and_psi_read_the_graded_record_as_the_full_one(data):
+    """Phi and Psi, which read the graded record, equal the same sums over
+    l_values of phi_r's default expansion, in value and claim."""
+    ctx = PadicContext(data.draw(st.sampled_from((2, 3, 5, 7, 11, 13))),
+                       data.draw(st.integers(1, 12)))
+    p = ctx.p
+    r = Fraction(data.draw(st.integers(-9999, 9999).filter(lambda a: a % p)),
+                 data.draw(st.integers(1, 999).filter(lambda d: d % p)))
+    target = data.draw(st.integers(1, ctx.precision))
+    full = l_values(phi_fr(r, ctx), factorial_length_for(p, target))
+    twist = principal_part(ctx.number(r))
+    for s in data.draw(st.lists(zp_points(ctx), min_size=2, max_size=2)):
+        want = l_value(None, s, target=target, values=full)
+        assert Phi(r, s, ctx, target=target) == want, (r, s, target)
+        want = principal_power(twist, s) * l_value(None, (s + 1) / r - 1, target=target,
+                                                   values=full)
+        assert Psi(r, s, ctx, target=target) == want, (r, s, target)
+
+
+@settings(SETTINGS, max_examples=60)
+@given(st.data())
+def test_psi_matches_the_mahler_oracle_of_its_integer_values(data):
+    """Psi(s) = sum_(n <= K) b_n binom(S, n) mod its claim at every lift S
+    of s, K = factorial_length_for(p, M), where b_n are the forward
+    differences at 0 of f(m) = <r>^m psi_tilde(m) mod p^M, m <= K.  Psi is
+    sum a_n (s)_n with a_n in Z_p, so b_n = n! a_n and every term past K is
+    0 mod p^M.  The oracle never reads phi_r."""
+    p = data.draw(st.sampled_from((2, 3, 5, 7, 11, 13)))
+    M = data.draw(st.integers(1, 10))
+    ctx, mod, K = PadicContext(p, M), p ** M, factorial_length_for(p, M)
+    r = Fraction(data.draw(st.integers(-9999, 9999).filter(lambda a: a % p)),
+                 data.draw(st.integers(1, 999).filter(lambda d: d % p)))
+    R = residue(r, mod)
+    twist, Rinv = R * pow(pow(R, p ** M, mod), -1, mod) % mod, pow(R, -1, mod)
+    f, psi = [1], 1  # psi_tilde(m) = 1 + (m/r) psi_tilde(m-1)
+    for m in range(1, K + 1):
+        psi = (1 + m * Rinv * psi) % mod
+        f.append(pow(twist, m, mod) * psi % mod)
+    b = []
+    for _ in range(K + 1):
+        b.append(f[0])
+        f = [(y - x) % mod for x, y in zip(f, f[1:])]
+    for s in data.draw(st.lists(zp_points(ctx), min_size=3, max_size=3)):
+        got = Psi(r, s, ctx)
+        if isinstance(s, PadicNumber):
+            N = s.abs_precision
+            lifts = [s.lift() + p ** N * t for t in range(LIFTS)]
+        else:
+            assert got.abs_precision == M, (r, s)
+            lifts = [residue(Fraction(s), mod)]
+        for S in lifts:
+            total, c = 0, 1  # c = binom(S, n)
+            for n, bn in enumerate(b):
+                total, c = total + bn * c, c * (S - n) // (n + 1)
+            assert agrees(got, Fraction(total), ctx), (r, s, S)
