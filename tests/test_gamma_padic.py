@@ -125,10 +125,8 @@ def test_phi_expansion_refuses_a_non_unit_on_either_route(monkeypatch):
     ("41/42", 5, 40, False), ("1234/4567", 13, 60, False)])
 def test_phi_fr_route_at_the_default_length(r, p, prec, dfinite):
     r = Fraction(r)
-    length = gexp_length_for(p, prec)
-    h = 7 * abs(r.numerator) + 4 * abs(r.denominator - r.numerator)
-    assert gamma_padic._takes_dfinite(r.numerator, r.denominator, length) == dfinite
-    assert (2 * h < length) == dfinite
+    assert gamma_padic._takes_dfinite(r.numerator, r.denominator,
+                                      gexp_length_for(p, prec)) == dfinite
 
 
 def test_phi_fr_short_recurrence_keeps_the_certificate(monkeypatch):

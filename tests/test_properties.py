@@ -800,21 +800,6 @@ def lvalue_cases(draw):
     return ctx, phi_fr(r, ctx, length=draw(st.one_of(st.just(default), st.integers(1, default))))
 
 
-@st.composite
-def zp_points(draw, ctx):
-    """An int, a Fraction with p-free denominator or a PadicNumber known mod
-    p^N, N <= precision + 2."""
-    p = ctx.p
-    kind = draw(st.sampled_from(("int", "fraction", "padic")))
-    if kind == "int":
-        return draw(st.integers(-50, 500))
-    if kind == "fraction":
-        return Fraction(draw(st.integers(-500, 500)),
-                        draw(st.integers(1, 60).filter(lambda d: d % p)))
-    N = draw(st.integers(0, ctx.precision + 2))
-    return PadicNumber._make(ctx, 0, draw(st.integers(0, p ** N - 1)), N)
-
-
 @settings(SETTINGS, max_examples=120)
 @given(st.data())
 def test_graded_l_values_are_l_values_mod_the_graded_power(data):
@@ -831,7 +816,7 @@ def test_graded_l_values_are_l_values_mod_the_graded_power(data):
     for k, (a, g) in enumerate(zip(full.residues, graded.residues)):
         assert g == a % p ** max(0, full.claim - full.shift - vp_factorial(k, p)), (phi, k)
     target = data.draw(st.integers(1, ctx.precision))
-    for s in data.draw(st.lists(zp_points(ctx), min_size=3, max_size=3)):
+    for s, _ in data.draw(st.lists(points(ctx), min_size=3, max_size=3)):
         got = l_value(phi, s, target=target)
         assert got == l_value(phi, s, target=target, values=full), (phi, s, target)
 
@@ -849,7 +834,7 @@ def test_phi_and_psi_read_the_graded_record_as_the_full_one(data):
     target = data.draw(st.integers(1, ctx.precision))
     full = l_values(phi_fr(r, ctx), factorial_length_for(p, target))
     twist = principal_part(ctx.number(r))
-    for s in data.draw(st.lists(zp_points(ctx), min_size=2, max_size=2)):
+    for s, _ in data.draw(st.lists(points(ctx), min_size=2, max_size=2)):
         want = l_value(None, s, target=target, values=full)
         assert Phi(r, s, ctx, target=target) == want, (r, s, target)
         want = principal_power(twist, s) * l_value(None, (s + 1) / r - 1, target=target,
@@ -880,15 +865,11 @@ def test_psi_matches_the_mahler_oracle_of_its_integer_values(data):
     for _ in range(K + 1):
         b.append(f[0])
         f = [(y - x) % mod for x, y in zip(f, f[1:])]
-    for s in data.draw(st.lists(zp_points(ctx), min_size=3, max_size=3)):
+    for s, lifts in data.draw(st.lists(points(ctx), min_size=3, max_size=3)):
         got = Psi(r, s, ctx)
-        if isinstance(s, PadicNumber):
-            N = s.abs_precision
-            lifts = [s.lift() + p ** N * t for t in range(LIFTS)]
-        else:
+        if not isinstance(s, PadicNumber):
             assert got.abs_precision == M, (r, s)
-            lifts = [residue(Fraction(s), mod)]
-        for S in lifts:
+        for S in (residue(lift, mod) for lift in lifts):
             total, c = 0, 1  # c = binom(S, n)
             for n, bn in enumerate(b):
                 total, c = total + bn * c, c * (S - n) // (n + 1)
