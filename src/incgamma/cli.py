@@ -12,7 +12,9 @@ Output is a single JSON document {command, params, rows, pass} or CSV with
 columns inputs..., value, precision_claim, status.  Exit status: 0 all
 checks passed, 1 a check failed, 2 usage or domain error.  --prec sets the
 p-adic working precision (default 28); the complex side runs at the fixed
-tolerances of gamma_complex.
+tolerances of gamma_complex.  A p-adic request whose default expansion,
+gexp_length_for(p, prec) Mahler coefficients, would pass MAX_LENGTH is a
+domain error, refused before any expansion is built.
 """
 
 from __future__ import annotations
@@ -30,6 +32,13 @@ from .padic import PadicContext, PrecisionError, congruent, principal_part
 from .gamma_padic import (CompatibilityError, PlaceExcludedError, Psi,
                           functional_eq_parts, psi_tilde, psi_tilde_values, require_unit)
 from .gamma_complex import EPSABS, TAIL_TOL, gfn, mellin_fe_residual, psi_complex
+from .mahler import gexp_length_for
+
+# The longest default expansion of phi_r or a polynomial weight that a
+# p-adic request may need.  Near it a cold interp-check --m-max 20 takes
+# about 1.4 s at p 2, prec 1011 and 1.7 s at p 3, prec 504 (lengths 2045
+# and 2047, on a 2-core x86 VM); p 13, prec 60 needs 1535.
+MAX_LENGTH = 2048
 
 
 def _count(lowest: int):
@@ -55,6 +64,19 @@ def _tolerance(text: str) -> float:
     if not 0 <= tol < math.inf:
         raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text}")
     return tol
+
+
+def _context(p: int, prec: int) -> PadicContext:
+    """The context of a p-adic request, or ValueError when its default
+    expansion would pass MAX_LENGTH.  2(p-1) prec, a lower bound for
+    gexp_length_for, is checked first, so a huge p never reaches the
+    primality check or the length search."""
+    if 2 * (p - 1) * prec <= MAX_LENGTH:
+        ctx = PadicContext(p, prec)
+        if gexp_length_for(p, prec) <= MAX_LENGTH:
+            return ctx
+    raise ValueError(f"p = {p}, prec = {prec} needs an expansion longer than "
+                     f"{MAX_LENGTH} coefficients")
 
 
 def _fmt_value(x, k: int) -> str:
@@ -99,7 +121,7 @@ def _cmd_eval(args):
     if args.side == "padic":
         if args.p is None:
             raise ValueError("--side padic needs --p")
-        ctx = PadicContext(args.p, args.prec)
+        ctx = _context(args.p, args.prec)
         params.update({"p": args.p, "prec": args.prec})
         return [_padic_row({"s": args.s}, ctx, Psi(r, s, ctx))], params
     if s.denominator == 1 and s >= 0:
@@ -123,7 +145,7 @@ def _cmd_interp_check(args):
     rows = []
     params = {"r": str(r), "m_max": args.m_max}
     if args.p is not None:
-        ctx = PadicContext(args.p, args.prec)
+        ctx = _context(args.p, args.prec)
         pr = principal_part(ctx.number(require_unit(r, args.p)))
         params.update({"p": args.p, "prec": args.prec})
         rows += [_padic_row({"m": m}, ctx, Psi(r, m, ctx), pr ** m * ctx.number(tildes[m]))
@@ -141,7 +163,7 @@ def _cmd_interp_check(args):
 
 def _cmd_func_eq(args):
     coeffs = [as_rational(c) for c in args.poly.split(",")]
-    ctx = PadicContext(args.p, args.prec)
+    ctx = _context(args.p, args.prec)
     rng = random.Random(args.seed)
     samples = [rng.randint(-8, 8) for _ in range(args.samples)]
     rows = [_padic_row({"s": s}, ctx, *functional_eq_parts(coeffs, s, ctx))

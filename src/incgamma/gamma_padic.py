@@ -136,15 +136,20 @@ def _phi_expansion(r: Fraction, ctx: PadicContext, length: int) -> MahlerFn:
 
 def _takes_dfinite(A: int, B: int, length: int) -> bool:
     """Whether _phi_dfinite, not the gexp kernel, builds phi_(A/B) through
-    index length: when h = 7 |A| + 4 |B-A| < length / 2.
+    index length: when h = 5 |A| + 2 |B-A| < length / 3, and for A = 1 also
+    h < 40.
 
     Per index the cut kernel sums about length/5 terms, one C-level product
-    each.  Timed against it at p 3-13, prec 40-60, _phi_dfinite breaks even
-    at h between about 0.4 and 0.75 times the length, so per index it costs
-    about 2.8 such products per unit of |A| and 1.6 per unit of |B-A| (0.4
-    per unit of h).
+    each.  Timed against it at p 2-13, prec 20-60, _phi_dfinite breaks even
+    at |A| of about 0.05-0.07 times the length (with |B-A| = 1) and at |B-A|
+    of about 0.1-0.2 times it (with |A| = 2), so per index it costs about 3
+    such products per unit of |A| and 1.2 per unit of |B-A| (0.6 per unit
+    of h).  At r = 1/B, f_r is a polynomial of degree B, so the kernel sums
+    at most B terms per index, and the recurrence breaks even at B of about
+    12-30 whatever the length.
     """
-    return 2 * (7 * abs(A) + 4 * abs(B - A)) < length
+    h = 5 * abs(A) + 2 * abs(B - A)
+    return 3 * h < length and (A != 1 or h < 40)
 
 
 def _phi_dfinite(A: int, B: int, mod: int, length: int) -> list:

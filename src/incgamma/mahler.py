@@ -40,9 +40,15 @@ u_j a unit,
     d_n = u_(n-1) p^(nu(n-1) - E) sum_k a_k b_(n-k),
     a_k = w_k / (k-1)!,  b_j = p^E d_j / j!,  E = v_p(floor(last/2)!),
 last the kernel's final index, where the certificate and its hypotheses
-make a_k and b_j p-integral, so each term is one product of residues mod
-p^(M+E) and no binomial is formed.  Every d_n mod p^M is that of the full
-sum; weights outside those hypotheses raise (see _gexp_kernel).
+make a_k and b_j p-integral, so each term is one product of residues and
+no binomial is formed.  d_n mod p^M reads S_n mod p^(M+E-nu(n-1)), and the
+certificate gives v(b_j) >= E - nu(floor(j/2)), so a_k is kept only mod
+p^(M - nu(k-1)): an error of that size moves its term by valuation at least
+M + E - nu(k-1) - nu(floor(j/2)) >= M + E - nu(n-1), as nu is superadditive
+and n - 1 = (k-1) + j.  The weights are known only mod p^M, so a_k has no
+more known digits, and it is 0 once nu(k-1) >= M.  Every d_n mod p^M is
+that of the full sum; weights outside those hypotheses raise (see
+_gexp_kernel).
 """
 
 from __future__ import annotations
@@ -496,14 +502,20 @@ def _gexp_kernel(ctx: PadicContext, weights: list, length: int, head: int = 1) -
     With j! = p^nu(j) u_j the sum is d_n = u_(n-1) p^(nu(n-1) - E) S_n, with
     S_n = sum_k a_k b_(n-k), a_k = w_k / (k-1)! and b_j = p^E d_j / j!,
     E = nu(floor(last/2)): v(w_k) >= nu(k) makes every a_k p-integral, and
-    the certificate every b_j, j <= last (a d_j that is 0 mod p^M has
-    residue 0).  d_n mod p^M needs S_n only mod p^(M+E-nu(n-1)), a dropped
-    term is a multiple of that, and nu(n-1) >= nu(k-1) + nu(n-k), so a_k is
-    kept mod p^(M+E-nu(k-1)) and b_j mod p^(M+E-nu(j)); each term is one
-    product.  S_n divides exactly by p^(E - nu(n-1)) when that is positive,
-    and b_n is built from the residue d_n, which divides exactly by
-    p^(nu(n) - E) when that is.  So every d_n mod p^M is that of the full
-    sum.  The units u_j and u_j^-1 mod p^(M+E) come from one running
+    the certificate gives v(b_j) >= E - nu(floor(j/2)) >= 0, j <= last (a d_j
+    that is 0 mod p^M has residue 0, and reducing b_j below keeps that
+    bound).  d_n mod p^M needs S_n only mod p^(M+E-nu(n-1)), a dropped term
+    is a multiple of that, and nu(n-1) >= nu(k-1) + nu(j), j = n - k.  So
+    b_j is kept mod p^(M+E-nu(j)) and a_k only mod p^(M-nu(k-1)): an error
+    of that size in a_k moves term k by valuation at least
+    M + E - nu(k-1) - nu(floor(j/2)) >= M + E - nu(n-1).  The weights are
+    known only mod p^M, so a_k has no further known digit, and the table
+    stops before the first k with nu(k-1) >= M, where a_k is 0; every such
+    term is past the cut, as nu(j) <= nu(n-1) - M puts j below m(n).  Each
+    term is one product.  S_n divides exactly by p^(E - nu(n-1)) when that
+    is positive, and b_n is built from the residue d_n, which divides
+    exactly by p^(nu(n) - E) when that is.  So every d_n mod p^M is that of
+    the full sum.  The units u_j and u_j^-1 mod p^(M+E) come from one running
     product of the cofactors j / p^v_p(j) and one pow.  The stored
     coefficients are head * d_n for n <= length, each claiming O(p^M); head
     is the residue of exp(f(0)).  _gexp_fn builds the expansion and its tail.
@@ -531,7 +543,8 @@ def _gexp_kernel(ctx: PadicContext, weights: list, length: int, head: int = 1) -
     reaches = list(accumulate(map(sub, ends[::-1], twice_m[::-1]), max))[::-1]
     # the run ends before the first block with no positive cut ahead
     last = min(length, p * next((i for i, r in enumerate(reaches) if r <= 0), len(reaches)))
-    K, E = min(deg, last), nu[last // 2]
+    # a_k is kept mod p^(M - nu(k-1)), so it is 0 once nu(k-1) >= M
+    K, E = min(deg, last, bisect_left(nu, M)), nu[last // 2]
     pw = list(accumulate(repeat(p, max(M + E, nu[last])), mul, initial=1))
     Q = pw[M + E]
     # p^max(0, v - E), p^max(0, E - v) and p^max(0, M+E-v) at index v
@@ -541,8 +554,8 @@ def _gexp_kernel(ctx: PadicContext, weights: list, length: int, head: int = 1) -
     cof = [j // pw[v] for j, v in zip(range(1, last + 1), vs[1:])]
     u = list(accumulate(cof, times, initial=1))
     iu = list(accumulate(reversed(cof), times, initial=pow(u[-1], -1, Q)))[::-1]
-    # trim[nu(j)], the modulus of a_(j+1) and b_j; ar[K-k] = a_k
-    ar = [c // pw[v] * i % trim[v] for c, v, i in zip(w[1:K + 1], nu, iu)][::-1]
+    # a_k mod p^(M - nu(k-1)), ar[K-k] = a_k; b_j mod trim[nu(j)]
+    ar = [c // pw[v] * i % pw[M - v] for c, v, i in zip(w[1:K + 1], nu, iu)][::-1]
     # per n: the terms k = 1..top, then d_n = S_n // D * P * u_(n-1) mod p^M
     # and b_n = d_n // H * P' * u_n^-1 mod p^(M+E-nu(n)), D, P, H, P' powers of p
     tops = map(min, map(sub, range(1, last + 1),

@@ -8,6 +8,7 @@ import pytest
 
 from incgamma import cli
 from incgamma.cli import main
+from incgamma.padic import PadicContext
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -232,6 +233,42 @@ def test_complex_overflow_is_a_domain_error(capsys, argv):
     assert out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith("error: complex side out of double range")
+
+
+def refuse(*args):
+    raise AssertionError("the request reached the expansion")
+
+
+PADIC_HEADS = [("eval", "--side", "padic", "--r", "2", "--s", "3"),
+               ("interp-check", "--r", "2"), ("func-eq", "--poly", "4")]
+
+
+@pytest.mark.parametrize("head", PADIC_HEADS)
+@pytest.mark.parametrize("p, prec", [
+    ("3", "100000000000000000000"), ("1000003", "28"), ("100000000000000000039", "1")])
+def test_oversized_padic_requests_are_refused(capsys, monkeypatch, head, p, prec):
+    # 2(p-1) prec alone passes MAX_LENGTH: the refusal comes before the
+    # primality check (trial division to 1e10 for the last p) and before any
+    # length search or expansion, each of which raises here
+    for name in ("PadicContext", "gexp_length_for", "Psi", "functional_eq_parts"):
+        monkeypatch.setattr(cli, name, refuse)
+    code, out, err = run(capsys, *head, "--p", p, "--prec", prec)
+    assert (code, out) == (2, "")
+    assert err == (f"error: p = {p}, prec = {prec} needs an expansion longer than "
+                   f"{cli.MAX_LENGTH} coefficients\n")
+
+
+@pytest.mark.parametrize("head", PADIC_HEADS)
+def test_padic_length_limit(capsys, monkeypatch, head):
+    # at p = 2, prec 1012 passes the 2(p-1) prec bound but needs 2049
+    # coefficients; prec 1011 needs 2045 and is let through
+    assert cli.gexp_length_for(2, 1011) <= cli.MAX_LENGTH < cli.gexp_length_for(2, 1012)
+    assert cli._context(2, 1011) == PadicContext(2, 1011)
+    monkeypatch.setattr(cli, "Psi", refuse)
+    monkeypatch.setattr(cli, "functional_eq_parts", refuse)
+    code, out, err = run(capsys, *head, "--p", "2", "--prec", "1012")
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: p = 2, prec = 1012 ")
 
 
 @pytest.mark.parametrize("head, flag, value, tail", [

@@ -121,8 +121,13 @@ def test_phi_expansion_refuses_a_non_unit_on_either_route(monkeypatch):
     # the small-height r of the warm Psi benchmark keep the recurrence
     ("2", 3, 60, True), ("3", 2, 40, True), ("5/3", 7, 40, True),
     ("-2", 5, 40, True), ("3/2", 11, 30, True),
-    # h = 291 is past half of L = 359, where the kernel is faster
-    ("41/42", 5, 40, False), ("1234/4567", 13, 60, False)])
+    # h = 207 is past L/3 = 120, where the kernel is faster
+    ("41/42", 5, 40, False), ("1234/4567", 13, 60, False),
+    # h = 287 and 297 lie either side of L/3 = 293 (L = 879)
+    ("57/58", 11, 40, True), ("59/60", 11, 40, False),
+    # f_(1/81) is a polynomial of degree 81: the kernel sums at most 81 terms
+    # per index, though h = 165 is below L/3
+    ("1/81", 11, 40, False)])
 def test_phi_fr_route_at_the_default_length(r, p, prec, dfinite):
     r = Fraction(r)
     assert gamma_padic._takes_dfinite(r.numerator, r.denominator,

@@ -770,6 +770,24 @@ def test_default_length_kernels_match_the_full_sum(p, M):
         assert got.tail == expected.tail == tail
 
 
+@pytest.mark.parametrize("p, M", [(3, 40), (5, 30), (11, 20)])
+def test_trimmed_weights_match_the_full_sum(p, M):
+    """At the default length the kernel's scale E = nu(floor(last/2)) is
+    large, and it keeps each weight a_k only mod p^(M - nu(k-1)), E digits
+    below its partner b_j, with no a_k at all once nu(k-1) >= M.  phi_fr at
+    a generic r and a cubic poly_gexp still give the record and tail of the
+    full sum."""
+    ctx = PadicContext(p, M)
+    mod, length = p ** M, gexp_length_for(p, M)
+    r = Fraction(1234, 4567)
+    g = [1 + p * Fraction(2, 13), Fraction(-5, 17), Fraction(7, 19)]
+    cubic = [residue(math.factorial(k) * (c - (k == 1)), mod) for k, c in enumerate(g, 1)]
+    cases = [(phi_fr(r, ctx), phi_weights(r, length, mod)), (poly_gexp(g, ctx), cubic)]
+    for got, weights in cases:
+        expected = _gexp_fn(ctx, full_gexp_sum(weights, length, mod))
+        assert (got._res, got.tail) == (expected._res, expected.tail)
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 13])
 @pytest.mark.parametrize("M", [1, 4, 20])
 def test_gexp_kernel_refuses_weights_outside_the_certificate(p, M):
