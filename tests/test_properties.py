@@ -773,8 +773,8 @@ def test_default_length_kernels_match_the_full_sum(p, M):
 @pytest.mark.parametrize("p, M", [(3, 40), (5, 30), (11, 20)])
 def test_trimmed_weights_match_the_full_sum(p, M):
     """At the default length the kernel's scale E = nu(floor(last/2)) is
-    large, and it keeps each weight a_k only mod p^(M - nu(k-1)), E digits
-    below its partner b_j, with no a_k at all once nu(k-1) >= M.  phi_fr at
+    large: its sums run mod up to p^(M+E), while each weight a_k is kept
+    only mod p^(M - nu(k-1)), and not at all once nu(k-1) >= M.  phi_fr at
     a generic r and a cubic poly_gexp still give the record and tail of the
     full sum."""
     ctx = PadicContext(p, M)
