@@ -14,7 +14,9 @@ checks passed, 1 a check failed, 2 usage or domain error.  --prec sets the
 p-adic working precision (default 28); the complex side runs at the fixed
 tolerances of gamma_complex.  A p-adic request whose default expansion,
 gexp_length_for(p, prec) Mahler coefficients, would pass MAX_LENGTH is a
-domain error, refused before any expansion is built.
+domain error, refused before any expansion is built; so is an --m-max above
+MAX_M, before any row is built, and an exact psi-tilde value longer than
+the interpreter's int to str limit, which the package never changes.
 """
 
 from __future__ import annotations
@@ -39,6 +41,13 @@ from .mahler import gexp_length_for
 # about 1.4 s at p 2, prec 1011 and 1.7 s at p 3, prec 504 (lengths 2045
 # and 2047, on a 2-core x86 VM); p 13, prec 60 needs 1535.
 MAX_LENGTH = 2048
+
+# The most rows (--m-max) that psi-tilde and interp-check build, all in
+# memory before any is printed.  At it psi-tilde --r 2 takes about 0.2 s,
+# interp-check --r 2 --p 3 0.2-0.3 s, --r 1234/4567 --p 13 --prec 60
+# 0.8-1.3 s and, at MAX_LENGTH, --r 9973/997 --p 2 --prec 1011 5.7-6.4 s
+# (same VM).
+MAX_M = 1000
 
 
 def _count(lowest: int):
@@ -79,6 +88,24 @@ def _context(p: int, prec: int) -> PadicContext:
                      f"{MAX_LENGTH} coefficients")
 
 
+def _m_max(args) -> int:
+    """args.m_max, or ValueError above MAX_M, before any row is built."""
+    if args.m_max > MAX_M:
+        raise ValueError(f"--m-max {args.m_max} is above the limit of {MAX_M}")
+    return args.m_max
+
+
+def _exact(m: int, value) -> str:
+    """The exact value of row m as a string, or ValueError naming the row
+    when it passes the interpreter's limit on int to str conversion."""
+    try:
+        return str(value)
+    except ValueError:
+        raise ValueError(f"row m = {m}: the exact value has more than "
+                         f"{sys.get_int_max_str_digits()} digits, the interpreter's "
+                         f"limit for int to str conversion") from None
+
+
 def _fmt_value(x, k: int) -> str:
     """Residue string for a p-adic value known mod p^k."""
     if x.is_exact_zero():
@@ -110,8 +137,8 @@ def _padic_row(key: dict, ctx: PadicContext, got, want=None) -> dict:
 
 def _cmd_psi_tilde(args):
     r = as_rational(args.r)
-    rows = [{"m": m, "value": str(v), "precision_claim": "exact", "status": "pass"}
-            for m, v in enumerate(psi_tilde_values(r, args.m_max))]
+    rows = [{"m": m, "value": _exact(m, v), "precision_claim": "exact", "status": "pass"}
+            for m, v in enumerate(psi_tilde_values(r, _m_max(args)))]
     return rows, {"r": str(r), "m_max": args.m_max}
 
 
@@ -141,7 +168,7 @@ def _cmd_interp_check(args):
     r = as_rational(args.r)
     if args.p is None and not getattr(args, "complex"):
         raise ValueError("pick at least one side: --p and/or --complex")
-    tildes = psi_tilde_values(r, args.m_max)  # one O(m_max) run for every row
+    tildes = psi_tilde_values(r, _m_max(args))  # one O(m_max) run for every row
     rows = []
     params = {"r": str(r), "m_max": args.m_max}
     if args.p is not None:

@@ -25,17 +25,47 @@ def as_rational(q) -> Fraction:
     raise TypeError(f"not a rational: {q!r}")
 
 
+# Miller-Rabin to the 13 prime bases 2..41 is deterministic below this bound
+# (Sorenson and Webster, 2015): every composite under it fails one base.
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_BASE_SET = frozenset(_BASES)
+PRIME_BOUND = 3317044064679887385961981
+
+
 def _check_prime(p: int) -> None:
+    if isinstance(p, int) and p in _BASE_SET:  # every p the package meets in practice
+        return
     if not isinstance(p, int) or p < 2:
         raise ValueError(f"p must be a prime >= 2, got {p}")
-    # cheap trial division; p stays small in practice
-    if p % 2 == 0 and p != 2:
+    if p >= PRIME_BOUND:
+        raise ValueError(f"p = {p} is too large: primality is decided only below "
+                         f"{PRIME_BOUND}")
+    if not _is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
-            raise ValueError(f"p must be prime, got {p}")
-        d += 2
+
+
+def _is_prime(n: int) -> bool:
+    """Primality of 2 <= n < PRIME_BOUND: n is a base, or no base divides n
+    and n is below 43^2 or a strong probable prime to every base."""
+    if n in _BASE_SET:
+        return True
+    if not all(n % a for a in _BASES):
+        return False
+    if n < 43 * 43:
+        return True
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = 2^s d, d odd
+    d = (n - 1) >> s
+    for a in _BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def vp(q, p: int):

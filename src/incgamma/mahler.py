@@ -13,6 +13,16 @@ ExactMahler is the finitely-supported rational counterpart used wherever
 exactness matters (oracles, the correspondence checks, small building
 blocks); it reduces into a MahlerFn with an exact tail.
 
+convolve forms no binomial.  With j! = p^nu(j) u_j, u_j a unit, and
+j = n - k, binom(n, k) = p^(nu(n) - nu(k) - nu(j)) u_n / (u_k u_j), so
+    c_n = u_n S_n / p^(Ea+Eb-nu(n)),  S_n = sum_k alpha_k beta_(n-k),
+with alpha_k = p^Ea a_k / k! and beta_j = p^Eb b_j / j! held as residues
+times powers of p; Ea = nu(ea) and Eb = nu(K), ea the last index k takes
+and K the output length, make both p-integral.  nu(n) - nu(k) - nu(j) is
+the number of carries of k + j in base p (Kummer), so every term of S_n is
+a multiple of p^(Ea+Eb-nu(n)) and the quotient is exact: one product per
+term.
+
 The exponential-generating-function correspondences of ExactMahler:
 prodcorr(phi) = sum (nabla^n phi)(0) t^n/n!   (algebra map for convolution)
 actcorr(phi)  = sum phi(n) t^n/n! = exp(t) * prodcorr(phi)
@@ -56,6 +66,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from fractions import Fraction
 from itertools import accumulate, chain, repeat, zip_longest
 from operator import add, mul, sub
@@ -98,11 +109,24 @@ def gexp_tail_floor(p: int, K: int) -> int:
 
 
 def gexp_length_for(p: int, target: int) -> int:
-    """Smallest K whose certified gexp tail reaches the target exponent."""
-    K = max(8, 2 * (p - 1) * target)
-    while gexp_tail_floor(p, K) < target:
-        K += 1
-    return K
+    """Smallest K >= max(8, 2(p-1) target) whose certified gexp tail reaches
+    the target exponent.
+
+    gexp_tail_floor is nondecreasing, and on the block of n = K + 1 with c
+    base-p digits it is the larger of n // (2(p-1)) - c - 1 and the floor
+    carried from the previous blocks.  So each block is solved in closed
+    form, its least n being the first with n >= 2(p-1)(target + c + 1)
+    unless the carried floor already reaches the target, and the search
+    moves to the next block only when that n lies past the block's end.
+    """
+    n = max(8, 2 * (p - 1) * target) + 1
+    c = digit_count(n, p)
+    while True:
+        if c == 1 or (p ** (c - 1) - 1) // (2 * (p - 1)) - c < target:
+            n = max(n, 2 * (p - 1) * (target + c + 1))
+        if n < p ** c:
+            return n - 1
+        n, c = p ** c, c + 1
 
 
 class ExactMahler:
@@ -402,44 +426,80 @@ def _passes(p: int, rec: _Residues, row: list, exps: list) -> list:
     return out
 
 
+def _vps(p: int, top: int) -> list:
+    """v_p(j) for j = 0..top (0 at j = 0), by one slice pass per power of p."""
+    vs = [0] * (top + 1)
+    q = p
+    while q <= top:
+        vs[q::q] = [v + 1 for v in vs[q::q]]
+        q *= p
+    return vs
+
+
+@lru_cache(maxsize=16)  # convolve's keys; the gexp kernel calls __wrapped__
+def _factorial_units(p: int, top: int, e: int) -> tuple:
+    """(nu, u, iu), tuples over j = 0..top: j! = p^nu[j] u_j with u_j a unit,
+    u[j] = u_j and iu[j] = u_j^-1 mod p^e.  u is one running product of the
+    cofactors j / p^v_p(j), and iu runs the same product down from one pow."""
+    vs, mod = _vps(p, top), p ** e
+    pw = list(accumulate(repeat(p, max(vs)), mul, initial=1))
+    times = lambda x, y: x * y % mod
+    cof = [j // pw[v] for j, v in zip(range(1, top + 1), vs[1:])]
+    u = tuple(accumulate(cof, times, initial=1))
+    iu = tuple(accumulate(reversed(cof), times, initial=pow(u[-1], -1, mod)))[::-1]
+    return tuple(accumulate(vs)), u, iu
+
+
 def convolve(a: MahlerFn, b: MahlerFn) -> MahlerFn:
     """Multiplicative convolution: c_n = sum_k binom(n,k) a_k b_{n-k}.
 
     Output length: full support when both tails are exact, otherwise the
     shortest certain range.  With both factors known mod p^M and factored
-    as p^sa, p^sb times residues (sa, sb <= 0), every c_n claims
-    M + min(sa, sb).  Only k up to the last nonzero residue of the factor
-    whose support ends first enters: the Pascal row stops there, is reduced
-    only once its middle entry passes the squared modulus, and each c_n is
-    one C-level sum.  The tail pairs each factor's tail beyond index
-    floor(K/2) with the other factor's norm.
+    as p^sa, p^sb times residues ra, rb (sa, sb <= 0), every c_n claims
+    M + min(sa, sb), so its residue is needed mod p^e, e = M - max(sa, sb).
+    No binomial is formed.  With j! = p^nu(j) u_j, u_j a unit,
+        c_n = u_n S_n / p^(Ea + Eb - nu(n)),  S_n = sum_k alpha_k beta_(n-k),
+        alpha_k = p^(Ea - nu(k)) (ra_k u_k^-1 mod p^e),
+        beta_j = p^(Eb - nu(j)) (rb_j u_j^-1 mod p^e),
+    where k stops at ea, the last nonzero residue of the factor whose
+    support ends first, Ea = nu(ea) and Eb = nu(K), K the output length, so
+    alpha and beta are integers.  By Kummer's theorem nu(k + j) >= nu(k) +
+    nu(j), so p^(Ea + Eb - nu(n)) divides every term: the quotient is exact,
+    and reducing a unit part mod p^e moves c_n by a multiple of p^e.  Each
+    term is one C-level product; the unit tables come from _factorial_units,
+    cached per p, e and the power of two above K.  The tail pairs each
+    factor's tail beyond index floor(K/2) with the other factor's norm.
     """
     if a.ctx.p != b.ctx.p:
         raise ValueError("mixed primes")
-    ctx = a.ctx
+    ctx, p = a.ctx, a.ctx.p
     K_out = _joint_length(a, b, a.length + b.length)
     M = min(a._res.M, b._res.M)
     if M == INF:
         M = ctx.precision
     sa, sb = a._res.shift, b._res.shift
-    mod = ctx.p ** max(0, M - max(sa, sb))
+    e = max(0, M - max(sa, sb))
+    mod = p ** e
     ra, rb = ([r % mod for r in f._res.res[:K_out + 1]] for f in (a, b))
     ea, eb = (max((k for k, r in enumerate(f) if r), default=-1) for f in (ra, rb))
     if eb < ea:
         ra, rb, ea = rb, ra, eb
-    rev = (rb + [0] * (K_out + 1 - len(rb)))[::-1]  # rev[K_out - j] = b_j
-    out, lim = [], mod * mod
-    row = [1]  # binom(n, k) for k <= min(n, ea), reduced once the middle passes lim
-    for n in range(K_out + 1):
-        out.append(sum(map(mul, row, map(mul, ra, rev[K_out - n:K_out - n + ea + 1]))) % mod)
-        row = [1, *map(add, row, row[1:]), 1][:ea + 1]
-        if len(row) > 2 and row[len(row) // 2] >= lim:
-            row = list(map(mod.__rmod__, row))
+    out = [0] * (K_out + 1)
+    if ea >= 0:
+        # tables past K_out serve every shorter length: one key per power of two
+        nu, u, iu = _factorial_units(p, 1 << K_out.bit_length(), e)
+        Ea, Eb = nu[ea], nu[K_out]
+        pw = list(accumulate(repeat(p, Ea + Eb), mul, initial=1))
+        alpha = [r * i % mod * pw[Ea - v] for r, i, v in zip(ra[:ea + 1], iu, nu)]
+        rev = [r * i % mod * pw[Eb - v] for r, i, v in zip(rb, iu, nu)]
+        rev = [0] * (K_out + 1 - len(rev)) + rev[::-1]  # rev[K_out - j] = beta_j
+        out = [sum(map(mul, alpha, rev[K_out - n:K_out - n + ea + 1])) // pw[Ea + Eb - v]
+               * un % mod for n, v, un in zip(range(K_out + 1), nu, u)]
     half = K_out // 2
     texp = min(a.valuation_beyond(half) + b.min_valuation(),
                b.valuation_beyond(half) + a.min_valuation())
     claim = M + min(sa, sb)
-    return _new(ctx, _record(ctx.p, sa + sb, out, [claim] * (K_out + 1)),
+    return _new(ctx, _record(p, sa + sb, out, [claim] * (K_out + 1)),
                 Tail(texp, "convolution"))
 
 
@@ -515,8 +575,8 @@ def _gexp_kernel(ctx: PadicContext, weights: list, length: int, head: int = 1) -
     term is one product.  S_n divides exactly by p^(E - nu(n-1)) when that
     is positive, and b_n is built from the residue d_n, which divides
     exactly by p^(nu(n) - E) when that is.  So every d_n mod p^M is that of
-    the full sum.  The units u_j and u_j^-1 mod p^(M+E) come from one running
-    product of the cofactors j / p^v_p(j) and one pow.  The stored
+    the full sum.  The units u_j and u_j^-1 mod p^(M+E) come from
+    _factorial_units, uncached, as the tables go before the record.  The stored
     coefficients are head * d_n for n <= length, each claiming O(p^M); head
     is the residue of exp(f(0)).  _gexp_fn builds the expansion and its tail.
     """
@@ -526,12 +586,7 @@ def _gexp_kernel(ctx: PadicContext, weights: list, length: int, head: int = 1) -
     while len(w) > 1 and w[-1] == 0:
         w.pop()
     deg = len(w) - 1
-    vs = [0] * (length + 1)  # v_p(j); nu[j] = v_p(j!)
-    q = p
-    while q <= length:
-        vs[q::q] = [v + 1 for v in vs[q::q]]
-        q *= p
-    nu = list(accumulate(vs))
+    nu = list(accumulate(_vps(p, length)))  # nu[j] = v_p(j!)
     if any(c % p ** min(v, M) for c, v in zip(w[1:], [1, *nu[2:deg + 1]])):
         raise ValueError("gexp weights outside the tail certificate: "
                          "need v(w_1) >= 1 and v(w_k) >= v_p(k!)")
@@ -546,14 +601,10 @@ def _gexp_kernel(ctx: PadicContext, weights: list, length: int, head: int = 1) -
     # a_k is kept mod p^(M - nu(k-1)), so it is 0 once nu(k-1) >= M
     K, E = min(deg, last, bisect_left(nu, M)), nu[last // 2]
     pw = list(accumulate(repeat(p, max(M + E, nu[last])), mul, initial=1))
-    Q = pw[M + E]
     # p^max(0, v - E), p^max(0, E - v) and p^max(0, M+E-v) at index v
     up = [1] * E + pw
     down, trim = (pw[e::-1] + [1] * len(pw) for e in (E, M + E))
-    times = lambda x, y: x * y % Q
-    cof = [j // pw[v] for j, v in zip(range(1, last + 1), vs[1:])]
-    u = list(accumulate(cof, times, initial=1))
-    iu = list(accumulate(reversed(cof), times, initial=pow(u[-1], -1, Q)))[::-1]
+    _, u, iu = _factorial_units.__wrapped__(p, last, M + E)
     # a_k mod p^(M - nu(k-1)), ar[K-k] = a_k; b_j mod trim[nu(j)]
     ar = [c // pw[v] * i % pw[M - v] for c, v, i in zip(w[1:K + 1], nu, iu)][::-1]
     # per n: the terms k = 1..top, then d_n = S_n // D * P * u_(n-1) mod p^M
@@ -569,7 +620,7 @@ def _gexp_kernel(ctx: PadicContext, weights: list, length: int, head: int = 1) -
         dn = sum(map(mul, ar[K - top:K], b[n - top:n])) // D * P * U % mod
         d.append(dn)
         b.append(dn // H * P2 * IU % B)
-    del vs, nu, cof, u, iu, ar, b, tops, at_n  # the tables go before the record is built
+    del nu, u, iu, ar, b, tops, at_n  # the tables go before the record is built
     d += [0] * (length + 1 - len(d))
     return _gexp_fn(ctx, d, head)
 

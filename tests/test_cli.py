@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -248,8 +249,8 @@ PADIC_HEADS = [("eval", "--side", "padic", "--r", "2", "--s", "3"),
     ("3", "100000000000000000000"), ("1000003", "28"), ("100000000000000000039", "1")])
 def test_oversized_padic_requests_are_refused(capsys, monkeypatch, head, p, prec):
     # 2(p-1) prec alone passes MAX_LENGTH: the refusal comes before the
-    # primality check (trial division to 1e10 for the last p) and before any
-    # length search or expansion, each of which raises here
+    # primality check and before any length search or expansion, each of
+    # which raises here
     for name in ("PadicContext", "gexp_length_for", "Psi", "functional_eq_parts"):
         monkeypatch.setattr(cli, name, refuse)
     code, out, err = run(capsys, *head, "--p", p, "--prec", prec)
@@ -269,6 +270,37 @@ def test_padic_length_limit(capsys, monkeypatch, head):
     code, out, err = run(capsys, *head, "--p", "2", "--prec", "1012")
     assert (code, out) == (2, "")
     assert len(err.splitlines()) == 1 and err.startswith("error: p = 2, prec = 1012 ")
+
+
+@pytest.mark.parametrize("head", [("psi-tilde", "--r", "2"),
+                                  ("interp-check", "--r", "2", "--p", "3"),
+                                  ("interp-check", "--r", "2", "--complex")])
+def test_m_max_limit(capsys, monkeypatch, head):
+    # MAX_M is let through; above it the request is refused before any row
+    monkeypatch.setattr(cli, "psi_tilde_values", refuse)
+    for m_max in (cli.MAX_M + 1, 100000000):
+        code, out, err = run(capsys, *head, "--m-max", str(m_max))
+        assert (code, out) == (2, "")
+        assert err == f"error: --m-max {m_max} is above the limit of {cli.MAX_M}\n"
+    monkeypatch.undo()
+    code, doc = run_json(capsys, "psi-tilde", "--r", "2", "--m-max", str(cli.MAX_M))
+    assert code == 0 and len(doc["rows"]) == cli.MAX_M + 1
+
+
+def test_exact_values_past_the_digit_limit_name_their_row(capsys):
+    # psi_tilde(m) at r = 1234/4567 passes 4300 digits within MAX_M rows; the
+    # package leaves the interpreter's limit as it found it
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("int to str conversion is unlimited in this interpreter")
+    values = cli.psi_tilde_values(Fraction(1234, 4567), cli.MAX_M)
+    m = next(m for m, v in enumerate(values)
+             if max(abs(v.numerator), v.denominator) >= 10 ** limit)
+    code, out, err = run(capsys, "psi-tilde", "--r", "1234/4567", "--m-max", str(cli.MAX_M))
+    assert (code, out) == (2, "")
+    assert err == (f"error: row m = {m}: the exact value has more than {limit} digits, "
+                   f"the interpreter's limit for int to str conversion\n")
+    assert sys.get_int_max_str_digits() == limit
 
 
 @pytest.mark.parametrize("head, flag, value, tail", [

@@ -1,11 +1,13 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from incgamma.exact import (
     INF,
+    PRIME_BOUND,
     as_rational,
     binom,
     digit_count,
@@ -14,6 +16,7 @@ from incgamma.exact import (
     vp,
     vp_factorial,
 )
+from incgamma.padic import PadicContext
 
 
 def test_vp_known_values():
@@ -29,6 +32,44 @@ def test_vp_rejects_composite_p():
         vp(1, 6)
     with pytest.raises(ValueError):
         vp(1, 1)
+
+
+def test_large_prime_is_accepted_at_once():
+    start = time.perf_counter()
+    ctx = PadicContext(100000000000000000039, 1)
+    assert time.perf_counter() - start < 0.05
+    assert ctx.p == 100000000000000000039
+
+
+@pytest.mark.parametrize("n", [561, 3215031751, 3825123056546413051])
+def test_strong_pseudoprimes_are_refused(n):
+    # a Carmichael number, and strong pseudoprimes to the bases 2..7 and 2..23
+    with pytest.raises(ValueError, match=f"p must be prime, got {n}"):
+        PadicContext(n, 1)
+
+
+def test_primes_at_or_past_the_bound_are_refused():
+    # 2^89 - 1 is prime, but Miller-Rabin on the bases 2..41 decides only below
+    # the bound
+    for p in (PRIME_BOUND, 2 ** 89 - 1):
+        with pytest.raises(ValueError, match=f"decided only below {PRIME_BOUND}"):
+            vp(1, p)
+
+
+def test_primality_matches_a_sieve():
+    N = 20000
+    sieve = [True] * N
+    sieve[0] = sieve[1] = False
+    for i in range(2, 142):
+        if sieve[i]:
+            sieve[i * i::i] = [False] * len(sieve[i * i::i])
+    for n in range(2, N):
+        try:
+            vp(1, n)
+            accepted = True
+        except ValueError:
+            accepted = False
+        assert accepted == sieve[n], n
 
 
 def test_binom_known_values():

@@ -1,14 +1,16 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from incgamma.exact import INF, binom, digit_count
+from incgamma.exact import INF, binom, digit_count, vp_factorial
 from incgamma.mahler import (
     ExactMahler,
     MahlerFn,
     Tail,
+    _factorial_units,
     convolve,
     from_gexp,
     gexp_length_for,
@@ -334,3 +336,37 @@ def test_gexp_tail_floor_is_monotone(p):
             K += 1
         assert gexp_length_for(p, target) == K
 
+
+
+def linear_length_for(p: int, target: int) -> int:
+    """gexp_length_for as a plain search: K steps by one from its start."""
+    K = max(8, 2 * (p - 1) * target)
+    while gexp_tail_floor(p, K) < target:
+        K += 1
+    return K
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_gexp_length_for_is_the_linear_search(p):
+    assert [gexp_length_for(p, t) for t in range(201)] == [
+        linear_length_for(p, t) for t in range(201)]
+
+
+def test_gexp_length_for_is_fast_at_a_large_p():
+    # the linear search takes about 2(p-1)(c+1) steps here, seconds
+    start = time.perf_counter()
+    K = gexp_length_for(1000003, 28)
+    assert time.perf_counter() - start < 0.01
+    assert gexp_tail_floor(1000003, K) >= 28 > gexp_tail_floor(1000003, K - 1)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 13])
+def test_factorial_units_split_the_factorials(p):
+    for top, e in ((0, 3), (1, 1), (40, 0), (90, 7), (200, 25)):
+        nu, u, iu = _factorial_units(p, top, e)
+        mod = p ** e
+        assert len(nu) == len(u) == len(iu) == top + 1
+        for j in range(top + 1):
+            assert nu[j] == vp_factorial(j, p)
+            assert (u[j] - math.factorial(j) // p ** nu[j]) % mod == 0
+            assert (u[j] * iu[j] - 1) % mod == 0

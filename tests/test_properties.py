@@ -12,7 +12,8 @@ operands.  The operator layer (integrate, dirac, add, scale,
 AmiceElem.to_mahler, the values along x - k, two_var, l_x, convolutions and
 gexp kernels long enough for both halves of their scaled convolution) and the
 L-values (l_value, Psi at a PadicNumber s) meet the same lift oracles, and
-p_exp meets Fraction partial sums.  The residue operators that replaced
+p_exp meets Fraction partial sums.  convolve is held, record and tail
+included, to the binomial sum it replaced, read off a plain Pascal row.  The residue operators that replaced
 PadicNumber chains are also held to those chains, claims included, and the
 D-finite recurrence for phi_r to the gexp kernel, record and tail included.
 The graded L-value record is held to l_values mod p^(claim - v_p(k!)), and
@@ -32,8 +33,9 @@ from hypothesis import given, settings, strategies as st
 from incgamma.exact import INF, binom, falling, vp, vp_factorial
 from incgamma.gamma_padic import (Phi, Psi, _phi_dfinite, _phi_expansion, f_r_series,
                                   phi_fr, poly_gexp, psi_tilde)
-from incgamma.mahler import (ExactMahler, MahlerFn, Tail, _gexp_fn, _gexp_kernel, _line,
-                             convolve, from_gexp, gexp_length_for, gexp_tail_floor)
+from incgamma.mahler import (ExactMahler, MahlerFn, Tail, _gexp_fn, _gexp_kernel,
+                             _joint_length, _line, _record, convolve, from_gexp,
+                             gexp_length_for, gexp_tail_floor)
 from incgamma.measure import dirac, integrate, mu_psi_x
 from incgamma.padic import (DivergentSeriesError, PadicContext, PadicNumber, congruent,
                             p_exp, principal_part, principal_power, teichmuller)
@@ -511,7 +513,9 @@ def test_two_var_and_l_x_agree_with_every_lift(data):
 @st.composite
 def long_expansions(draw, ctx):
     """(exact-tailed MahlerFn of length 15..40, LIFTS ExactMahler lifts):
-    long enough that the Pascal rows of convolve pass p^(2M)."""
+    long enough that convolve's scales p^(Ea + Eb) reach several times M and
+    that most of its exact quotients by p^(Ea + Eb - nu(n)) cross a carry,
+    nu(n) > nu(k) + nu(n - k)."""
     p = ctx.p
     coeffs = [(Fraction(u, den) * Fraction(p) ** v, A) for u, den, v, A in draw(st.lists(
         st.tuples(st.integers(-p ** 4, p ** 4), st.sampled_from((1, p + 1)),
@@ -536,6 +540,84 @@ def test_long_convolve_agrees_with_every_lift_in_both_orders(data):
             exact = fa.convolve(fb)
             for n in range(c.length + 1):
                 assert agrees(c.coeffs[n], exact.coeff(n), ctx), (n, c.coeffs[n])
+
+
+def pascal_convolve(a: MahlerFn, b: MahlerFn) -> tuple:
+    """(record, tail) of convolve by its definition: c_n = sum_k binom(n, k)
+    a_k b_(n-k) on the residues mod p^(M - max(sa, sb)), each binomial read
+    off a plain Pascal row, with convolve's length, claim and tail rules."""
+    p = a.ctx.p
+    K = _joint_length(a, b, a.length + b.length)
+    M = min(a._res.M, b._res.M)
+    M = a.ctx.precision if M == INF else M
+    sa, sb = a._res.shift, b._res.shift
+    mod = p ** max(0, M - max(sa, sb))
+    ra, rb = ([*f._res.res, *[0] * K][:K + 1] for f in (a, b))
+    row, out = [], []
+    for n in range(K + 1):
+        row = [1, *((x + y) % mod for x, y in zip(row, row[1:])), 1][:n + 1]
+        out.append(sum(c * ra[k] * rb[n - k] for k, c in enumerate(row)) % mod)
+    half = K // 2
+    texp = min(a.valuation_beyond(half) + b.min_valuation(),
+               b.valuation_beyond(half) + a.min_valuation())
+    return _record(p, sa + sb, out, [M + min(sa, sb)] * (K + 1)), Tail(texp, "convolution")
+
+
+@st.composite
+def convolve_factors(draw, ctx):
+    """A MahlerFn of 1, 2..8 or 9..121 coefficients: valuations -4..3, claims
+    up to past the precision (on some factors only v + 1 and v + 2, which
+    put the convolution's modulus at p^0), O(p^A) entries and exact zeros,
+    an exact or a finite tail."""
+    p, M = ctx.p, ctx.precision
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    size = draw(st.sampled_from((1, rng.randint(2, 8), rng.randint(9, 121))))
+    coeffs, coarse = [], rng.random() < 0.15  # claims v + 1, v + 2: often e = 0
+    for _ in range(size):
+        kind = rng.choice(("value",) * 8 + ("zero", "O"))
+        if kind == "zero":
+            coeffs.append(ctx.zero())
+        elif kind == "O":
+            A = rng.randint(1, M)
+            coeffs.append(PadicNumber(ctx, A, 0, A))
+        else:
+            v = rng.randint(-4, 3)
+            low = v + 1 if coarse or rng.random() < 0.1 else max(v + 1, M // 2)
+            high = v + 2 if coarse else max(low, M + 3)
+            q = Fraction(rng.randint(1, p ** 6), rng.choice((1, p + 1))) * Fraction(p) ** v
+            coeffs.append(ctx.number(q, abs_prec=rng.randint(low, high)))
+    T = draw(st.one_of(st.just(INF), st.integers(-2, M)))
+    return MahlerFn(ctx, coeffs, Tail.exact() if T == INF else Tail(T, "drawn"))
+
+
+@settings(SETTINGS, max_examples=200)
+@given(st.data())
+def test_convolve_matches_the_pascal_row_sum(data):
+    """The factorial-scaled convolve gives the record and tail of the
+    binomial sum in both orders, at p 2-13 and M 1-40, on shifts down to -4,
+    O(p^A) entries, exact zeros, claims at or below the shift (so residues
+    mod p^0) and supports of one coefficient up to 121."""
+    ctx = PadicContext(data.draw(st.sampled_from((2, 3, 5, 7, 11, 13))),
+                       data.draw(st.integers(1, 40)))
+    a, b = data.draw(convolve_factors(ctx)), data.draw(convolve_factors(ctx))
+    for x, y in ((a, b), (b, a)):
+        c = convolve(x, y)
+        assert (c._res, c.tail) == pascal_convolve(x, y)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_dirac_route_convolve_matches_the_pascal_row_sum(p):
+    """Phi's Dirac route at the operators' target 25, prec 30: phi_r against
+    (1 - x)^{*s} at the full length 2 gexp_length_for(p, 25), 246 at p = 3
+    and 478 at p = 5, in both orders."""
+    ctx = PadicContext(p, 30)
+    L = 2 * gexp_length_for(p, 25)
+    phi = phi_fr(Fraction(7, 11), ctx, length=L)
+    g = one_minus_x_pow(Fraction(-5, 13), ctx, L)
+    assert L == {3: 246, 5: 478}[p]
+    for x, y in ((g, phi), (phi, g)):
+        c = convolve(x, y)
+        assert (c._res, c.tail) == pascal_convolve(x, y)
 
 
 def gexp_coefficients(g: list, length: int) -> list:
