@@ -13,13 +13,14 @@ AmiceElem.to_mahler, the values along x - k, two_var, l_x, convolutions and
 gexp kernels long enough for both halves of their scaled convolution) and the
 L-values (l_value, Psi at a PadicNumber s) meet the same lift oracles, and
 p_exp meets Fraction partial sums.  convolve is held, record and tail
-included, to the binomial sum it replaced, read off a plain Pascal row.  The residue operators that replaced
-PadicNumber chains are also held to those chains, claims included, and the
-D-finite recurrence for phi_r to the gexp kernel, record and tail included.
-The graded L-value record is held to l_values mod p^(claim - v_p(k!)), and
-the l_value, Phi and Psi sums over it to those over l_values.  Psi at every
-kind of s also meets an oracle that never reads phi_r: the Mahler series
-of the forward differences of <r>^m psi_tilde(m).
+included, to the binomial sum it replaced, read off a plain Pascal row.
+The residue operators that replaced PadicNumber chains are also held to
+those chains, claims included, and the D-finite recurrence for phi_r to the
+gexp kernel, record and tail included.  The graded L-value record is held
+to l_values mod p^(claim - v_p(k!)), and the l_value, Phi and Psi sums over
+it to those over l_values.  Psi at every kind of s also meets an oracle
+that never reads phi_r: the Mahler series of the forward differences of
+<r>^m psi_tilde(m).
 """
 
 import math
@@ -513,9 +514,9 @@ def test_two_var_and_l_x_agree_with_every_lift(data):
 @st.composite
 def long_expansions(draw, ctx):
     """(exact-tailed MahlerFn of length 15..40, LIFTS ExactMahler lifts):
-    long enough that convolve's scales p^(Ea + Eb) reach several times M and
-    that most of its exact quotients by p^(Ea + Eb - nu(n)) cross a carry,
-    nu(n) > nu(k) + nu(n - k)."""
+    long enough that convolve's scale p^(Ea + Eb) passes p^M several times
+    over and that about half of its terms carry, nu(n) > nu(k) + nu(n - k),
+    so its quotients by p^(Ea + Eb - nu(n)) are exact only by Kummer."""
     p = ctx.p
     coeffs = [(Fraction(u, den) * Fraction(p) ** v, A) for u, den, v, A in draw(st.lists(
         st.tuples(st.integers(-p ** 4, p ** 4), st.sampled_from((1, p + 1)),
