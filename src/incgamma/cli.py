@@ -15,8 +15,9 @@ p-adic working precision (default 28); the complex side runs at the fixed
 tolerances of gamma_complex.  A p-adic request whose default expansion,
 gexp_length_for(p, prec) Mahler coefficients, would pass MAX_LENGTH is a
 domain error, refused before any expansion is built; so is an --m-max above
-MAX_M, before any row is built, and an exact psi-tilde value longer than
-the interpreter's int to str limit, which the package never changes.
+MAX_M or a func-eq --samples above MAX_SAMPLES, before any row is built,
+and an exact psi-tilde value longer than the interpreter's int to str
+limit, which the package never changes.
 """
 
 from __future__ import annotations
@@ -48,6 +49,13 @@ MAX_LENGTH = 2048
 # 0.8-1.3 s and, at MAX_LENGTH, --r 9973/997 --p 2 --prec 1011 5.7-6.4 s
 # (same VM).
 MAX_M = 1000
+
+# The most func-eq samples, each of which rebuilds poly_gexp and its graded
+# L-values before any row is printed.  The samples are drawn from -8..8, so
+# 100 rarely miss one of the 17 values.  At it --poly 1,5,-5 --p 5 --prec 200
+# takes about 3.0 s, and --poly 1,2,3 --p 2 --prec 1011, at MAX_LENGTH,
+# 11-14 s (same VM).
+MAX_SAMPLES = 100
 
 
 def _count(lowest: int):
@@ -88,11 +96,12 @@ def _context(p: int, prec: int) -> PadicContext:
                      f"{MAX_LENGTH} coefficients")
 
 
-def _m_max(args) -> int:
-    """args.m_max, or ValueError above MAX_M, before any row is built."""
-    if args.m_max > MAX_M:
-        raise ValueError(f"--m-max {args.m_max} is above the limit of {MAX_M}")
-    return args.m_max
+def _at_most(limit: int, flag: str, n: int) -> int:
+    """The count n given as flag, or ValueError above limit, before any row
+    is built."""
+    if n > limit:
+        raise ValueError(f"{flag} {n} is above the limit of {limit}")
+    return n
 
 
 def _exact(m: int, value) -> str:
@@ -136,10 +145,10 @@ def _padic_row(key: dict, ctx: PadicContext, got, want=None) -> dict:
 
 
 def _cmd_psi_tilde(args):
-    r = as_rational(args.r)
+    r, m_max = as_rational(args.r), _at_most(MAX_M, "--m-max", args.m_max)
     rows = [{"m": m, "value": _exact(m, v), "precision_claim": "exact", "status": "pass"}
-            for m, v in enumerate(psi_tilde_values(r, _m_max(args)))]
-    return rows, {"r": str(r), "m_max": args.m_max}
+            for m, v in enumerate(psi_tilde_values(r, m_max))]
+    return rows, {"r": str(r), "m_max": m_max}
 
 
 def _cmd_eval(args):
@@ -168,18 +177,19 @@ def _cmd_interp_check(args):
     r = as_rational(args.r)
     if args.p is None and not getattr(args, "complex"):
         raise ValueError("pick at least one side: --p and/or --complex")
-    tildes = psi_tilde_values(r, _m_max(args))  # one O(m_max) run for every row
+    m_max = _at_most(MAX_M, "--m-max", args.m_max)
+    tildes = psi_tilde_values(r, m_max)  # one O(m_max) run for every row
     rows = []
-    params = {"r": str(r), "m_max": args.m_max}
+    params = {"r": str(r), "m_max": m_max}
     if args.p is not None:
         ctx = _context(args.p, args.prec)
         pr = principal_part(ctx.number(require_unit(r, args.p)))
         params.update({"p": args.p, "prec": args.prec})
         rows += [_padic_row({"m": m}, ctx, Psi(r, m, ctx), pr ** m * ctx.number(tildes[m]))
-                 for m in range(args.m_max + 1)]
+                 for m in range(m_max + 1)]
     if getattr(args, "complex"):
         params["tol"] = args.tol
-        for m in range(args.m_max + 1):
+        for m in range(m_max + 1):
             got = psi_complex(float(r), m)
             want = float(r ** m * tildes[m])
             err = _rel_err(got, want)
@@ -189,10 +199,11 @@ def _cmd_interp_check(args):
 
 
 def _cmd_func_eq(args):
+    count = _at_most(MAX_SAMPLES, "--samples", args.samples)
     coeffs = [as_rational(c) for c in args.poly.split(",")]
     ctx = _context(args.p, args.prec)
     rng = random.Random(args.seed)
-    samples = [rng.randint(-8, 8) for _ in range(args.samples)]
+    samples = [rng.randint(-8, 8) for _ in range(count)]
     rows = [_padic_row({"s": s}, ctx, *functional_eq_parts(coeffs, s, ctx))
             for s in samples]
     if getattr(args, "complex"):
@@ -201,7 +212,7 @@ def _cmd_func_eq(args):
             rows.append(_row({"s": s}, "complex", f"{err:.3e}", f"tol {args.tol:g}",
                              err <= args.tol))
     params = {"poly": args.poly, "p": args.p, "prec": args.prec,
-              "samples": args.samples, "seed": args.seed}
+              "samples": count, "seed": args.seed}
     return rows, params
 
 

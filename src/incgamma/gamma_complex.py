@@ -22,7 +22,7 @@ from __future__ import annotations
 import cmath
 import heapq
 import math
-from operator import mul
+from operator import mul, neg
 
 from .gamma_padic import fe_coefficients
 
@@ -79,7 +79,7 @@ def quad(fn, a: float, b: float, *, epsabs=EPSABS, epsrel=EPSREL, limit=LIMIT, p
         heapq.heappush(heap, _panel(fn, mid, hi))
 
 
-def _contour(s, f, a: float, b: float, r: float = 1.0, points=None):
+def _contour(s, f, a: float, b: float, r: float = 1.0, points=()):
     """r^{s+1} int_a^b (1-x)^s e^{f(x)} dx for real f, r > 0 and b <= 1.
 
     The integrand is exp(s log1p(-x) + f(x) - peak), peak the largest real
@@ -94,7 +94,7 @@ def _contour(s, f, a: float, b: float, r: float = 1.0, points=None):
     top = math.nextafter(b, a)  # (1-x)^s may be singular at b = 1
     grid = [top - (top - a) * (j / 16) ** 2 for j in range(17)]
     peak = max(sr * math.log1p(-x) + f(x) for x in grid)
-    points = [*grid[4:-1:4], *(points or ())]
+    points = [*grid[4:-1:4], *points]
     if si == 0:
         val = quad(lambda x: math.exp(sr * math.log1p(-x) + f(x) - peak), a, b, points=points)[0]
     else:
@@ -123,21 +123,27 @@ def _cut(a: float, lam: float, t: float, log_tol: float) -> float:
     return t
 
 
+def _spike(slope: float, at=float) -> list:
+    """quad's breakpoint at(40 / slope), 40 widths into a spike of width
+    1/slope at an end of the contour, when slope > 40, else none: there the
+    nodes of quad's first panel at that end step over the spike."""
+    return [at(40.0 / slope)] if slope > 40 else []
+
+
 def gfn(s, r: float):
     """r^{s+1} int_{-inf}^0 (1-x)^s e^{rx} dx for r > 0.
 
     Returns a float for real s, complex otherwise.  At s = m this is
     r^m psi_tilde(m); the complete limit is gammahat through
     Gamma(s, x) = e^{-x} gfn(s-1, x).  The tail past the cut X <= -1 is
-    at most (2/r)(1-X)^a e^{rX} (a = Re s) once 1 - X >= 2a/r.  Above
-    r = 40 quad gets a breakpoint 40 widths into the spike of width 1/r at
-    x = 0, which every node of its first panel would otherwise miss.
+    at most (2/r)(1-X)^a e^{rX} (a = Re s) once 1 - X >= 2a/r.  The spike
+    of width 1/r at x = 0 gets _spike's breakpoint.
     """
     r = float(r)
     if r <= 0:
         raise ValueError("gfn needs r > 0; use lgfn/psi_complex below zero")
     X = 1.0 - _cut(float(s.real), r, 2.0, math.log(TAIL_TOL) - r)
-    return _contour(s, lambda x: r * x, X, 0.0, r, [-40.0 / r] if r > 40 else None)
+    return _contour(s, lambda x: r * x, X, 0.0, r, _spike(r, neg))
 
 
 def lgfn(s, r: float):
@@ -145,13 +151,10 @@ def lgfn(s, r: float):
 
     For real s in (-1, 0) the substitution u = (1-x)^{1+s} removes the
     endpoint singularity:
-
         int_0^1 (1-x)^s e^{rx} dx = (1/(1+s)) int_0^1 e^{r(1 - u^{1/(1+s)})} du.
-
     Non-real s below the axis strip is rejected rather than integrated
-    against a singular endpoint.  r < 0 takes the principal r^{s+1}.  Below
-    r = -40 quad gets a breakpoint 40 widths into the spike of width 1/|r|
-    where the integrand peaks, which its bisection would miss.
+    against a singular endpoint.  r < 0 takes the principal r^{s+1}; the
+    spike of width 1/|r| at x = 0 then gets _spike's breakpoint.
     """
     r = float(r)
     if r == 0:
@@ -161,13 +164,12 @@ def lgfn(s, r: float):
         raise ValueError("non-real s needs Re s >= 0 here")
     if a <= -1:
         raise ValueError("need Re s > -1")
-    w = 40.0 / -r if r < -40 else 0.0  # 40 spike widths, in x
     if a >= 0:
-        val = _contour(s, lambda x: r * x, 0.0, 1.0, abs(r), [w] if w else None)
+        val = _contour(s, lambda x: r * x, 0.0, 1.0, abs(r), _spike(-r))
     else:  # at s = 0 the helper's r^{s+1} carries |r|^{1+a}/(1+a); near
         e = 1.0 / (1.0 + a)  # u = 1, 1 - u^e is about e (1 - u)
         val = _contour(0.0, lambda u: r * (1.0 - u ** e), 0.0, 1.0,
-                       abs(r) ** (1.0 + a) * e, [1.0 - w / e] if w else None)
+                       abs(r) ** (1.0 + a) * e, _spike(-r, lambda w: 1.0 - w / e))
     if r > 0:
         return val
     out = complex(-1.0) ** (s + 1) * val
@@ -224,8 +226,8 @@ def mellin_phi(coeffs, s):
     f(1 - t) = P(t) = sum beta_j t^j, beta_n < 0, the lower-order terms eat
     at most half the leading one for t >= T0, so P(t) <= -lam t with
     lam = |beta_n| T0^{n-1} / 2, and the tail past T is at most
-    (2/lam) T^a e^{-lam T} (a = Re s).  A slope g_1 > 40 at 0 gets a
-    breakpoint at -40/g_1, as gfn's r does.
+    (2/lam) T^a e^{-lam T} (a = Re s).  The slope g_1 at 0 gets _spike's
+    breakpoint, as gfn's r does.
     """
     g = [float(c) for c in coeffs]
     beta = _poly_shift_coeffs(g)
@@ -244,7 +246,7 @@ def mellin_phi(coeffs, s):
             acc = (acc + c) * x
         return acc
 
-    return _contour(s, f, 1.0 - T, 0.0, points=[-40.0 / g[0]] if g[0] > 40 else None)
+    return _contour(s, f, 1.0 - T, 0.0, points=_spike(g[0], neg))
 
 
 def mellin_fe_residual(coeffs, s) -> float:

@@ -27,8 +27,8 @@ from .exact import _vp, as_rational, binom
 from .padic import (PadicContext, PadicNumber, congruent, principal_part,
                     principal_power)
 from .series import TruncSeries
-from .mahler import (MahlerFn, _gexp_fn, _gexp_kernel, _rational_weights, convolve,
-                     gexp_length_for)
+from . import mahler
+from .mahler import MahlerFn, _gexp_fn, _gexp_kernel, _gexp_weights, convolve, gexp_length_for
 from .measure import dirac, integrate
 from .transform import _graded_l_values, factorial_length_for, l_value, one_minus_x_pow
 
@@ -37,15 +37,21 @@ class PlaceExcludedError(ValueError):
     """r is not a unit at p, so the weight exp(f_r) has no p-adic sense."""
 
 
-class CompatibilityError(ValueError):
-    """A polynomial weight violates the domain needed for the expansion."""
+# raised by mahler's gexp front door, which poly_gexp shares with from_gexp
+CompatibilityError = mahler.CompatibilityError
+
+
+def _nonzero(r) -> Fraction:
+    """r as a rational, or ValueError at 0: f_r, phi_r and psi_tilde divide by r."""
+    r = as_rational(r)
+    if r == 0:
+        raise ValueError("r must be nonzero")
+    return r
 
 
 def f_r_series(r, order: int) -> TruncSeries:
     """f_r(t) = r(1 - (1-t)^{1/r}) = -r sum_k (-1)^k binom(1/r, k) t^k."""
-    r = as_rational(r)
-    if r == 0:
-        raise ValueError("r must be nonzero")
+    r = _nonzero(r)
     u = 1 / r
     coeffs = [Fraction(0)]
     for k in range(1, order + 1):
@@ -55,9 +61,7 @@ def f_r_series(r, order: int) -> TruncSeries:
 
 def require_unit(r, p: int) -> Fraction:
     """The place check: v_p(r) must vanish (p a PadicContext's prime)."""
-    r = as_rational(r)
-    if r == 0:
-        raise ValueError("r must be nonzero")
+    r = _nonzero(r)
     v = _vp(r, p)
     if v != 0:
         raise PlaceExcludedError(
@@ -72,9 +76,7 @@ def phi_values_exact(r, count: int) -> list:
     points reads phi(n+1) = sum_k (-1)^k (1/r - 1)_k binom(n,k) phi(n-k).
     Independent of the EGF route, so the two engines cross-check.
     """
-    r = as_rational(r)
-    if r == 0:
-        raise ValueError("r must be nonzero")
+    r = _nonzero(r)
     u = 1 / r - 1
     vals = [Fraction(1)]
     for n in range(count):
@@ -89,16 +91,14 @@ def phi_values_exact(r, count: int) -> list:
 
 def phi_fr(r, ctx: PadicContext, length: int | None = None,
            tail_target: int | None = None) -> MahlerFn:
-    """The weight phi_r as a p-adic expansion whose tail is the gexp certificate.
+    """The weight phi_r as a p-adic expansion whose tail is the gexp certificate:
+    the d_n of exp(f_r - t) = sum d_n t^n/n! mod p^M, built by _phi_expansion
+    (PlaceExcludedError unless r is a unit at p).
 
-    Its Mahler coefficients are the d_n of exp(f_r - t) = sum d_n t^n/n!
-    mod p^M, from the gexp kernel or, for r of small height, the D-finite
-    recurrence of _phi_dfinite, with the same residues and tail either way.
-    r must be a unit at p, else PlaceExcludedError.
     Default sizing picks the shortest length whose gexp certificate reaches
-    tail_target (default: the context precision), its only use.  Expansions
-    come from _phi_expansion, an LRU cache keyed by (r, ctx, length); a hit
-    returns the cached expansion itself, which is immutable.
+    tail_target (default: the context precision), its only use.
+    _phi_expansion is an LRU cache keyed by (r, ctx, length); a hit returns
+    the cached expansion itself, which is immutable.
     """
     if length is None:
         length = gexp_length_for(ctx.p, ctx.precision if tail_target is None else tail_target)
@@ -113,11 +113,12 @@ def _phi_expansion(r: Fraction, ctx: PadicContext, length: int) -> MahlerFn:
     """phi_r through index length, for r = A/B in lowest terms, B > 0.
 
     r must be a unit at p (PlaceExcludedError otherwise), checked before
-    either route runs.  The kernel weights of f_r - t are w_1 = 0 and
-    w_k = G_k A^-(k-1), G_1 = 1, G_(k+1) = -G_k (B - kA), as f_r has
-    c_k = G_k / (A^(k-1) k!).  Only the unit A is inverted, and both routes
-    end in mahler._gexp_fn, so their records and tails are identical;
-    _takes_dfinite picks the route.
+    either route runs: the gexp kernel or, for r of small height
+    (_takes_dfinite), the D-finite recurrence of _phi_dfinite.  The kernel
+    weights of f_r - t are w_1 = 0 and w_k = G_k A^-(k-1), G_1 = 1,
+    G_(k+1) = -G_k (B - kA), as f_r has c_k = G_k / (A^(k-1) k!).  Only the
+    unit A is inverted, and both routes end in mahler._gexp_fn, so their
+    records and tails are identical.
     """
     require_unit(r, ctx.p)
     A, B = r.numerator, r.denominator
@@ -139,14 +140,16 @@ def _takes_dfinite(A: int, B: int, length: int) -> bool:
     index length: when h = 5 |A| + 2 |B-A| < length / 3, and for A = 1 also
     h < 40.
 
-    Per index the cut kernel sums about length/5 terms, one C-level product
-    each.  Timed against it at p 2-13, prec 20-60, _phi_dfinite breaks even
-    at |A| of about 0.05-0.07 times the length (with |B-A| = 1) and at |B-A|
-    of about 0.1-0.2 times it (with |A| = 2), so per index it costs about 3
-    such products per unit of |A| and 1.2 per unit of |B-A| (0.6 per unit
-    of h).  At r = 1/B, f_r is a polynomial of degree B, so the kernel sums
-    at most B terms per index, and the recurrence breaks even at B of about
-    12-30 whatever the length.
+    Timed at the default lengths, p 2-13, prec 20-60, where the cut kernel
+    sums about length/5 terms per index, one C-level product each: the
+    recurrence breaks even at |A| of about 0.05-0.07 length (|B-A| = 1) and
+    |B-A| of about 0.1-0.2 length (|A| = 2), some 0.6 products per unit of
+    h.  At r = 1/B, f_r is a polynomial of degree B, the kernel sums at most
+    B terms per index, and the break-even is B of about 12-30.  At longer
+    lengths, such as the Dirac route's doubled ones, the kernel stops at its
+    early index last while _phi_dfinite runs on to length, so the rule can
+    pick the slower route (r = 7/2, p 3, prec 30, length 246: 1.6 ms against
+    1.3 for the kernel and its weights).
     """
     h = 5 * abs(A) + 2 * abs(B - A)
     return 3 * h < length and (A != 1 or h < 40)
@@ -187,23 +190,12 @@ def _twist_and_lvalues(r: Fraction, ctx: PadicContext, K: int) -> tuple:
 
 
 def poly_gexp(coeffs, ctx: PadicContext, length: int | None = None) -> MahlerFn:
-    """Mahler expansion of exp(f) for a polynomial f = sum_{k>=1} g_k x^k.
-
-    Same contract as from_gexp with f(0) = 0; the gexp kernel runs on the
-    weights k! (g_k - [k = 1]) reduced mod p^M.
-    """
-    p = ctx.p
-    g = [as_rational(c) for c in coeffs]
-    if not g:
-        raise CompatibilityError("need at least the linear coefficient")
-    for k, c in enumerate(g, start=1):
-        if _vp(c, p) < 0:
-            raise CompatibilityError(f"coefficient of x^{k} is not p-integral: {c}")
-    if _vp(g[0] - 1, p) < 1:
-        raise CompatibilityError("f'(0) must be a principal unit")
+    """Mahler expansion of exp(f) for a polynomial f = sum_{k>=1} g_k x^k:
+    from_gexp's contract at f(0) = 0, through index length (default: the
+    length whose gexp certificate reaches the precision)."""
+    weights = _gexp_weights([as_rational(c) for c in coeffs], ctx)
     if length is None:
-        length = gexp_length_for(p, ctx.precision)
-    weights = _rational_weights([g[0] - 1] + g[1:], p ** ctx.precision)
+        length = gexp_length_for(ctx.p, ctx.precision)
     return _gexp_kernel(ctx, weights, length)
 
 
@@ -215,9 +207,7 @@ def psi_tilde(r, m: int) -> Fraction:
 
 def psi_tilde_values(r, m_max: int) -> list:
     """psi_tilde(0), ..., psi_tilde(m_max) from one run of the recurrence."""
-    r = as_rational(r)
-    if r == 0:
-        raise ValueError("r must be nonzero")
+    r = _nonzero(r)
     if m_max < 0:
         raise ValueError("m must be a nonnegative integer")
     vals = [Fraction(1)]

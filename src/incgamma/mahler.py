@@ -6,59 +6,18 @@ a_0..a_K once, as p^shift times plain ints with each claim and valuation
 coefficient beyond K; the measures of measure are the same data, read as
 moments.  Evaluation, convolution, sums, scalings, the pairing and the
 L-values of transform all run on those ints; PadicNumbers appear only as
-results and when coeffs is read.  Every evaluation point takes the one int
-loop: a PadicNumber at its integer lift, a non-integer Fraction at an
-integer lift of enough digits.
-ExactMahler is the finitely-supported rational counterpart used wherever
-exactness matters (oracles, the correspondence checks, small building
-blocks); it reduces into a MahlerFn with an exact tail.
-
-convolve forms no binomial.  With j! = p^nu(j) u_j, u_j a unit, and
-j = n - k, binom(n, k) = p^(nu(n) - nu(k) - nu(j)) u_n / (u_k u_j), so
-    c_n = u_n S_n / p^(Ea+Eb-nu(n)),  S_n = sum_k alpha_k beta_(n-k),
-with alpha_k = p^Ea a_k / k! and beta_j = p^Eb b_j / j! held as residues
-times powers of p; Ea = nu(ea) and Eb = nu(K), ea the last index k takes
-and K the output length, make both p-integral.  nu(n) - nu(k) - nu(j) is
-the number of carries of k + j in base p (Kummer), so every term of S_n is
-a multiple of p^(Ea+Eb-nu(n)) and the quotient is exact: one product per
-term.
+results and when coeffs is read.  ExactMahler is the finitely-supported
+rational counterpart used wherever exactness matters (oracles, the
+correspondence checks, small building blocks); it reduces into a MahlerFn
+with an exact tail.
 
 The exponential-generating-function correspondences of ExactMahler:
 prodcorr(phi) = sum (nabla^n phi)(0) t^n/n!   (algebra map for convolution)
 actcorr(phi)  = sum phi(n) t^n/n! = exp(t) * prodcorr(phi)
-from_gexp inverts actcorr on grouplike exponentials: for f with p-integral
-rational coefficients, f(0) in the exp disc and f'(0) a principal unit, the
-Mahler coefficients of the preimage are exp(f(0)) * d_n where
-exp(f - f(0) - t) = sum d_n t^n/n!.  One integer recurrence mod p^M, the
-gexp kernel, computes the d_n for every such weight (from_gexp here,
-phi_fr and poly_gexp in gamma_padic); phi_fr at r of small height has a
-D-finite recurrence of its own, and _gexp_fn builds either into a MahlerFn.
-
-Tail certificate for the gexp coefficients: writing g = f - f(0) - t, a
-composition of n into j parts all >= 1 with j_1 parts equal to 1 forces
-j <= (n + j_1)/2, and each size-1 part contributes v_p >= v_p(g_1) >= 1, so
-    v_p(d_n) >= v_p(n!) - v_p(floor(n/2)!) >= n/(2(p-1)) - log_p(n) - 1,
-an increasing bound; gexp_tail_floor freezes its running maximum at K+1.
-
-The same bound cuts the kernel's work.  In d_n = sum_k w_k binom(n-1, k-1)
-d_(n-k), with w_k = k! g_k, the term k has valuation at least
-v_p((n-1)!) - v_p(floor((n-k)/2)!), which reaches M once n - k < 2 m(n),
-m(n) the least m with v_p(m!) > v_p((n-1)!) - M.  So the kernel sums
-k <= n - 2 m(n) only, 32-41 % of the terms at the default length.  It sums
-them as one convolution of factorial-scaled residues: with j! = p^nu(j) u_j,
-u_j a unit,
-    d_n = u_(n-1) p^(nu(n-1) - E) sum_k a_k b_(n-k),
-    a_k = w_k / (k-1)!,  b_j = p^E d_j / j!,  E = v_p(floor(last/2)!),
-last the kernel's final index, where the certificate and its hypotheses
-make a_k and b_j p-integral, so each term is one product of residues and
-no binomial is formed.  d_n mod p^M reads S_n mod p^(M+E-nu(n-1)), and the
-certificate gives v(b_j) >= E - nu(floor(j/2)), so a_k is kept only mod
-p^(M - nu(k-1)): an error of that size moves its term by valuation at least
-M + E - nu(k-1) - nu(floor(j/2)) >= M + E - nu(n-1), as nu is superadditive
-and n - 1 = (k-1) + j.  The weights are known only mod p^M, so a_k has no
-more known digits, and it is 0 once nu(k-1) >= M.  Every d_n mod p^M is
-that of the full sum; weights outside those hypotheses raise (see
-_gexp_kernel).
+from_gexp inverts actcorr on grouplike exponentials through the gexp
+kernel, which phi_fr and poly_gexp in gamma_padic share.  Each proof has
+one home: the tail certificate in gexp_tail_floor, the kernel's cut and
+trim in _gexp_kernel, the factorial-scaled convolution in convolve.
 """
 
 from __future__ import annotations
@@ -90,10 +49,18 @@ class Tail:
         return Tail(INF, "finite support")
 
 
+class CompatibilityError(ValueError):
+    """A weight violates the hypotheses of the gexp expansion."""
+
+
 def gexp_tail_floor(p: int, K: int) -> int:
     """Certified valuation floor for gexp Mahler coefficients beyond K.
 
-    The bound n // (2(p-1)) - c - 1 at n = K + 1, c its number of base-p
+    The certificate: with exp(g) = sum d_n t^n/n!, g = f - f(0) - t, a
+    composition of n into j parts all >= 1 with j_1 parts equal to 1 forces
+    j <= (n + j_1)/2, and each size-1 part contributes v_p >= v_p(g_1) >= 1, so
+        v_p(d_n) >= v_p(n!) - v_p(floor(n/2)!) >= n/(2(p-1)) - log_p(n) - 1.
+    That bound n // (2(p-1)) - c - 1 at n = K + 1, c its number of base-p
     digits, is nondecreasing on each block of n with the same c and dips by
     one where n reaches a power of p.  A floor for every index past K' <= K
     holds past K too, so this is the running maximum: the larger of the
@@ -457,7 +424,8 @@ def convolve(a: MahlerFn, b: MahlerFn) -> MahlerFn:
     shortest certain range.  With both factors known mod p^M and factored
     as p^sa, p^sb times residues ra, rb (sa, sb <= 0), every c_n claims
     M + min(sa, sb), so its residue is needed mod p^e, e = M - max(sa, sb).
-    No binomial is formed.  With j! = p^nu(j) u_j, u_j a unit,
+    No binomial is formed.  With j! = p^nu(j) u_j, u_j a unit, and j = n - k,
+    binom(n, k) = p^(nu(n) - nu(k) - nu(j)) u_n / (u_k u_j), so
         c_n = u_n S_n / p^(Ea + Eb - nu(n)),  S_n = sum_k alpha_k beta_(n-k),
         alpha_k = p^(Ea - nu(k)) (ra_k u_k^-1 mod p^e),
         beta_j = p^(Eb - nu(j)) (rb_j u_j^-1 mod p^e),
@@ -506,79 +474,74 @@ def convolve(a: MahlerFn, b: MahlerFn) -> MahlerFn:
 def from_gexp(f: TruncSeries, ctx: PadicContext) -> MahlerFn:
     """The continuous phi with actcorr(phi) = gexp(f), for a rational series f.
 
-    Requires p-integral coefficients, f(0) inside the exp disc, and f'(0) a
-    principal unit.  The EGF coefficients of exp(f - f(0) - t) come from the
-    gexp kernel mod p^M (M = ctx.precision), scaled by p_exp(f(0)) when
-    f(0) != 0, and every coefficient claims O(p^M).  The tail is the gexp
-    certificate at K = f.order, below M when K < gexp_length_for(p, M).
+    f(0) must lie in the exp disc and f - f(0) pass _gexp_weights, else
+    CompatibilityError.  The coefficients are exp(f(0)) d_n, the d_n of
+    exp(f - f(0) - t) = sum d_n t^n/n! from the gexp kernel, each claiming
+    O(p^M), M = ctx.precision; the tail is the gexp certificate at
+    K = f.order, below M when K < gexp_length_for(p, M).
     """
-    p = ctx.p
-    if f.order < 1:
-        raise ValueError("need at least the linear coefficient of f")
-    for n, c in enumerate(f.coeffs):
-        if _vp(c, p) < 0:
-            raise ValueError(f"coefficient {n} is not p-integral: {c}")
-    f0, v0, need = f.coeff(0), _vp(f.coeff(0), p), 2 if p == 2 else 1
-    if v0 != INF and v0 < need:
-        raise ValueError(f"f(0) outside the exp disc: v_p = {v0} < {need}")
-    if _vp(f.coeff(1) - 1, p) < 1:
-        raise ValueError("f'(0) must be a principal unit")
-    M = ctx.precision
-    g = [f.coeff(1) - 1] + f.coeffs[2:]
-    head = p_exp(ctx.number(f0)).residue(M) if f0 != 0 else 1
-    return _gexp_kernel(ctx, _rational_weights(g, p ** M), f.order, head)
+    p, f0 = ctx.p, f.coeff(0)
+    v0, need = _vp(f0, p), 2 if p == 2 else 1
+    if v0 < need:  # an exact zero has v0 = INF
+        raise CompatibilityError(f"f(0) outside the exp disc: v_p = {v0} < {need}")
+    phi = _gexp_kernel(ctx, _gexp_weights(f.coeffs[1:], ctx), f.order)
+    return phi.scale(p_exp(ctx.number(f0))) if f0 != 0 else phi
 
 
-def _rational_weights(g: list, mod: int) -> list:
-    """The kernel weights k! g_k mod p^M of p-integral rationals g_1, g_2, ..."""
-    out = []
-    fact = 1
+def _gexp_weights(g: list, ctx: PadicContext) -> list:
+    """The kernel weights k! (g_k - [k = 1]) mod p^M of f = sum_(k>=1) g_k x^k,
+    g = [g_1, g_2, ...]: the front door of from_gexp and poly_gexp.  Raises
+    CompatibilityError unless g is nonempty, every g_k is p-integral and
+    g_1 = f'(0) is a principal unit, the certificate's hypotheses."""
+    if not g:
+        raise CompatibilityError("need at least the linear coefficient")
+    p, mod, fact, out = ctx.p, ctx.p ** ctx.precision, 1, []
     for k, c in enumerate(g, start=1):
+        if _vp(c, p) < 0:
+            raise CompatibilityError(f"coefficient of x^{k} is not p-integral: {c}")
         fact *= k
-        w = fact * c
+        w = fact * (c - 1 if k == 1 else c)
         out.append(w.numerator * pow(w.denominator, -1, mod) % mod)
+    if _vp(g[0] - 1, p) < 1:
+        raise CompatibilityError("f'(0) must be a principal unit")
     return out
 
 
-def _gexp_kernel(ctx: PadicContext, weights: list, length: int, head: int = 1) -> MahlerFn:
-    """Mahler coefficients of the gexp preimage, all mod p^M (M = ctx.precision).
+def _gexp_kernel(ctx: PadicContext, weights: list, length: int) -> MahlerFn:
+    """The gexp preimage through index length: d_n mod p^M, M = ctx.precision.
 
-    weights[k-1] = w_k = k! g_k mod p^M, where g = f - f(0) - t.  The EGF
-    coefficients d_n of exp(g) obey the exp ODE in the form
-        d_n = sum_{k=1}^{min(n, deg)} w_k binom(n-1, k-1) d_{n-k};
-    trailing zero weights are dropped first so deg only counts the live ones.
+    weights[k-1] = w_k = k! g_k mod p^M, g = f - f(0) - t (_gexp_weights),
+    and the d_n of exp(g) = sum d_n t^n/n! obey the exp ODE
+        d_n = sum_{k=1}^{min(n, deg)} w_k binom(n-1, k-1) d_{n-k},
+    deg the last nonzero weight.
 
-    The residues must have v(w_1) >= 1 and v(w_k) >= nu(k), nu(j) = v_p(j!),
-    the hypotheses of the tail certificate; other weights raise ValueError.
-    The certificate then gives v(d_j) >= min(M, nu(j) - nu(floor(j/2))) for
-    the residues d_j, and the sum stops at k = n - 2 m(n), m(n) the least m
-    with nu(m) > nu(n-1) - M: a dropped term, j = n - k < 2 m(n), has
+    Cut.  The residues must meet the certificate's hypotheses, v(w_1) >= 1
+    and v(w_k) >= nu(k), nu(j) = v_p(j!) (others raise ValueError), so
+    v(d_j) >= min(M, nu(j) - nu(floor(j/2))) (gexp_tail_floor).  The sum
+    stops at k = n - 2 m(n), m(n) the least m with nu(m) > nu(n-1) - M: a
+    dropped term, j = n - k < 2 m(n), has valuation
         v(w_k) + nu(n-1) - nu(k-1) - nu(j) + v(d_j)
             >= min(M, nu(n-1) - nu(floor(j/2))) >= M,
-    as nu(floor(j/2)) <= nu(m(n) - 1) <= nu(n-1) - M.  m(n) only moves at
+    as nu(floor(j/2)) <= nu(m(n) - 1) <= nu(n-1) - M.  m(n) moves only at
     multiples of p, so one bisection of nu per block of p indices finds it;
     once no cut ahead is positive (past index last), the remaining d_n are 0.
 
-    With j! = p^nu(j) u_j the sum is d_n = u_(n-1) p^(nu(n-1) - E) S_n, with
-    S_n = sum_k a_k b_(n-k), a_k = w_k / (k-1)! and b_j = p^E d_j / j!,
-    E = nu(floor(last/2)): v(w_k) >= nu(k) makes every a_k p-integral, and
-    the certificate gives v(b_j) >= E - nu(floor(j/2)) >= 0, j <= last (a d_j
-    that is 0 mod p^M has residue 0, and reducing b_j below keeps that
-    bound).  d_n mod p^M needs S_n only mod p^(M+E-nu(n-1)), a dropped term
-    is a multiple of that, and nu(n-1) >= nu(k-1) + nu(j), j = n - k.  So
-    b_j is kept mod p^(M+E-nu(j)) and a_k only mod p^(M-nu(k-1)): an error
-    of that size in a_k moves term k by valuation at least
-    M + E - nu(k-1) - nu(floor(j/2)) >= M + E - nu(n-1).  The weights are
-    known only mod p^M, so a_k has no further known digit, and the table
-    stops before the first k with nu(k-1) >= M, where a_k is 0; every such
-    term is past the cut, as nu(j) <= nu(n-1) - M puts j below m(n).  Each
-    term is one product.  S_n divides exactly by p^(E - nu(n-1)) when that
-    is positive, and b_n is built from the residue d_n, which divides
-    exactly by p^(nu(n) - E) when that is.  So every d_n mod p^M is that of
-    the full sum.  The units u_j and u_j^-1 mod p^(M+E) come from
-    _factorial_units, uncached, as the tables go before the record.  The stored
-    coefficients are head * d_n for n <= length, each claiming O(p^M); head
-    is the residue of exp(f(0)).  _gexp_fn builds the expansion and its tail.
+    Scaled sum.  As in convolve, no binomial is formed: with j! = p^nu(j) u_j,
+    d_n = u_(n-1) p^(nu(n-1) - E) S_n, S_n = sum_k a_k b_(n-k),
+    a_k = w_k / (k-1)!, b_j = p^E d_j / j!, E = nu(floor(last/2)).  The
+    hypotheses make a_k p-integral, and the certificate gives
+    v(b_j) >= E - nu(floor(j/2)) >= 0 for j <= last (a d_j that is 0 mod p^M
+    has residue 0): each term is one product, and a power of p with a
+    negative exponent, in d_n or in b_n = p^(E - nu(n)) d_n / u_n, divides
+    exactly.  Trim: d_n mod p^M reads S_n only mod p^(M+E-nu(n-1)), so b_j
+    is kept mod p^(M+E-nu(j)) and a_k mod p^(M-nu(k-1)); an error of that
+    size in a_k moves term k by valuation at least
+    M + E - nu(k-1) - nu(floor(j/2)) >= M + E - nu(n-1), as nu is
+    superadditive and n - 1 = (k-1) + j.  The weights are known only mod
+    p^M, so a_k has no further digit, and it is 0 once nu(k-1) >= M, where
+    nu(j) <= nu(n-1) - M puts the term past the cut.  So every d_n mod p^M is
+    that of the full sum.  The units u_j and u_j^-1 mod p^(M+E) come from
+    _factorial_units, uncached, as the tables go before the record.
     """
     p, M = ctx.p, ctx.precision
     mod = p ** M
@@ -622,14 +585,13 @@ def _gexp_kernel(ctx: PadicContext, weights: list, length: int, head: int = 1) -
         b.append(dn // H * P2 * IU % B)
     del nu, u, iu, ar, b, tops, at_n  # the tables go before the record is built
     d += [0] * (length + 1 - len(d))
-    return _gexp_fn(ctx, d, head)
+    return _gexp_fn(ctx, d)
 
 
-def _gexp_fn(ctx: PadicContext, d: list, head: int = 1) -> MahlerFn:
-    """The gexp preimage with coefficients head * d_n mod p^M, n < len(d), each
+def _gexp_fn(ctx: PadicContext, d: list) -> MahlerFn:
+    """The gexp preimage with coefficients d_n mod p^M, n < len(d), each
     claiming O(p^M).  Its tail is the gexp certificate beyond K = len(d) - 1,
-    clamped at 0: the weights and head are p-integral, so is every d_n."""
-    p, M, mod = ctx.p, ctx.precision, ctx.p ** ctx.precision
-    res = [c * head % mod for c in d]
+    clamped at 0: the weights are p-integral, so is every d_n."""
+    p, M = ctx.p, ctx.precision
     tail = Tail(max(0, gexp_tail_floor(p, len(d) - 1)), "gexp certificate")
-    return _new(ctx, _record(p, 0, res, [M] * len(res)), tail)
+    return _new(ctx, _record(p, 0, d, [M] * len(d)), tail)

@@ -133,9 +133,8 @@ class LValues:
     shift <= 0 is the lowest stored coefficient valuation when that is
     negative, so the residues are plain ints, read mod p^(claim - shift); norm is
     phi.min_valuation(), which bounds the terms l_value leaves out.  A graded
-    record (_graded_l_values) knows residues[k] only mod
-    p^(claim - shift - v_p(k!)): l_value multiplies it by (S)_k, an integer
-    multiple of k!, so its sums keep every digit they claim.
+    record knows residues[k] only mod p^(claim - shift - v_p(k!)), all that
+    l_value reads (see _graded_l_values).
     """
 
     ctx: PadicContext
@@ -158,22 +157,18 @@ def _graded_l_values(phi: MahlerFn, K: int) -> LValues:
     p^(claim - v_p(k!)), all that an l_value sum reads.
 
     claim = min(M, T) as l_values claims it: M the least coefficient claim
-    (the precision when every coefficient is exact), T the tail.  Pass k of
-    mahler._passes runs mod p^e_k, e_k = max(0, claim - shift - v_p(k!)),
-    on the residues res[n] = a_n / p^shift, and first drops the top
-    coefficients whose valuations all reach claim - v_p(k!), the ones whose
-    residues are 0 mod p^e_k.  l_value sums (S)_k times residue k mod p^n,
+    (the precision when every coefficient is exact), T the tail; every
+    unstored a_n has valuation >= T, so below M the full record is right
+    only mod p^T.  Pass k of mahler._passes runs mod p^e_k,
+    e_k = max(0, claim - shift - v_p(k!)), on the residues
+    res[n] = a_n / p^shift (which carry p^-shift when shift < 0), and first
+    drops the top coefficients of valuation at least claim - v_p(k!), whose
+    residues are 0 mod p^e_k; so p^shift times value k is right mod
+    p^(claim - v_p(k!)).  l_value sums (S)_k times residue k mod p^n,
     n <= claim - shift, and (S)_k, even reduced mod p^n, is a multiple of
-    p^min(n, v_p(k!)); so a residue right mod p^e_k moves no term mod p^n,
-    and every sum, value and claim, is the one over l_values(phi, K).
-    A negative shift (some a_n of valuation below 0): the residues carry
-    p^-shift, so pass k runs mod p^(claim - shift - v_p(k!)), and a_n drops
-    at valuation claim - v_p(k!), where its residue has valuation e_k;
-    p^shift times value k is right mod p^(claim - v_p(k!)), as at shift 0.
-    A tail below M caps the claim at T: every unstored a_n has valuation
-    >= T, so the full record is right only mod p^T, and the grading starts
-    there, e_k = T - shift - v_p(k!).  Once v_p(k!) >= claim - shift,
-    e_k = 0 and value k is 0, as term k is 0 mod p^n.
+    p^min(n, v_p(k!)); so a residue right mod p^e_k moves no term mod p^n
+    (once e_k = 0, term k is 0 mod p^n), and every sum, value and claim, is
+    the one over l_values(phi, K).
     """
     ctx, (shift, M, _, _, _) = phi.ctx, phi._res
     claim = min(ctx.precision if M == INF else M, phi.tail.exponent)
@@ -190,13 +185,11 @@ def l_value(phi: MahlerFn | None, s, target: int | None = None,
     phi(-1 - k) across calls: an LValues record from l_values (phi may then
     be None), or a list of PadicNumbers, which is converted once; either
     must reach index K.  Without values the sum reads _graded_l_values(phi,
-    K), whose value k is known only mod p^(claim - v_p(k!)): term k is that
-    value times (S)_k, a multiple of k!, so each term, the sum and its claim
-    are those over l_values(phi, K).  The sum runs on residues, and claims
-    min(values claim, M + shift, N + shift, v_p((K+1)!) + e), where
-    M = ctx.precision, N is the precision of a PadicNumber s, shift the
-    record's (0 unless some value has negative valuation) and e =
-    phi.min_valuation() bounds the terms beyond K.
+    K), which gives the sum and claim over l_values(phi, K).  The sum runs on
+    residues, and claims min(values claim, M + shift, N + shift,
+    v_p((K+1)!) + e), where M = ctx.precision, N is the precision of a
+    PadicNumber s, shift the record's (0 unless some value has negative
+    valuation) and e = phi.min_valuation() bounds the terms beyond K.
     """
     ctx = values.ctx if isinstance(values, LValues) else phi.ctx
     p = ctx.p

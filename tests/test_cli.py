@@ -287,6 +287,20 @@ def test_m_max_limit(capsys, monkeypatch, head):
     assert code == 0 and len(doc["rows"]) == cli.MAX_M + 1
 
 
+def test_samples_limit(capsys, monkeypatch):
+    # MAX_SAMPLES is let through; above it func-eq is refused before any row
+    monkeypatch.setattr(cli, "functional_eq_parts", refuse)
+    for samples in (cli.MAX_SAMPLES + 1, 100000000):
+        code, out, err = run(capsys, "func-eq", "--poly", "1", "--p", "5",
+                             "--samples", str(samples))
+        assert (code, out) == (2, "")
+        assert err == f"error: --samples {samples} is above the limit of {cli.MAX_SAMPLES}\n"
+    monkeypatch.undo()
+    code, doc = run_json(capsys, "func-eq", "--poly", "1", "--p", "5", "--prec", "5",
+                         "--samples", str(cli.MAX_SAMPLES))
+    assert code == 0 and len(doc["rows"]) == cli.MAX_SAMPLES
+
+
 def test_exact_values_past_the_digit_limit_name_their_row(capsys):
     # psi_tilde(m) at r = 1234/4567 passes 4300 digits within MAX_M rows; the
     # package leaves the interpreter's limit as it found it

@@ -1,10 +1,11 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
-from incgamma import gamma_padic
+from incgamma import gamma_padic, mahler
 from incgamma.gamma_padic import (CompatibilityError, GammaValue,
                                   PlaceExcludedError, Phi, Psi,
                                   compatible_cubic, f_r_series,
@@ -363,14 +364,20 @@ def test_from_gexp_constant_term_matches_exact_gexp():
     assert not congruent(phi.coeff(0), ctx.one(), 2)
 
 
-def test_poly_gexp_compatibility_errors():
+def test_poly_gexp_compatibility_errors(monkeypatch):
+    # poly_gexp and from_gexp, at f(0) = 0 or not, share one front door: each
+    # weight is refused with the same CompatibilityError before any expansion
     ctx = PadicContext(5, 12)
-    with pytest.raises(CompatibilityError):
-        poly_gexp([], ctx)
-    with pytest.raises(CompatibilityError):
-        poly_gexp([2], ctx)  # f'(0) not principal
-    with pytest.raises(CompatibilityError):
-        poly_gexp([1, Fraction(1, 5)], ctx)  # not p-integral
+    monkeypatch.setattr(gamma_padic, "_gexp_kernel", refuse)
+    monkeypatch.setattr(mahler, "_gexp_kernel", refuse)
+    for g in ([], [2], [1, Fraction(1, 5)]):  # empty, f'(0) not principal, not p-integral
+        with pytest.raises(CompatibilityError) as refused:
+            poly_gexp(g, ctx)
+        for f0 in (0, 5):
+            with pytest.raises(CompatibilityError, match=f"^{re.escape(str(refused.value))}$"):
+                from_gexp(TruncSeries([f0, *g]), ctx)
+    with pytest.raises(CompatibilityError, match="outside the exp disc"):
+        from_gexp(TruncSeries([1, 1]), ctx)
 
 
 def test_fe_coefficients_of_compatible_cubic():

@@ -824,7 +824,7 @@ def test_gexp_kernel_cut_matches_the_full_sum(data):
             got = from_gexp(TruncSeries([f0, *(g + [0] * length)[:length]]), ctx)
         else:
             got = poly_gexp(g, ctx, length=length)
-    expected = _gexp_fn(ctx, full_gexp_sum(weights, length, mod), head)
+    expected = _gexp_fn(ctx, [d * head for d in full_gexp_sum(weights, length, mod)])
     assert (got._res, got.tail) == (expected._res, expected.tail), (kind, p, M, length)
 
 
