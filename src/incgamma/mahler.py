@@ -32,7 +32,7 @@ from operator import add, mul, sub
 from typing import NamedTuple
 
 from .exact import INF, _vp, as_rational, digit_count
-from .padic import PadicContext, PadicNumber, p_exp, zp_residue
+from .padic import PadicContext, PadicNumber, _exp_domain_valuation, p_exp, zp_residue
 from .series import TruncSeries
 
 
@@ -403,7 +403,7 @@ def _vps(p: int, top: int) -> list:
     return vs
 
 
-@lru_cache(maxsize=16)  # convolve's keys; the gexp kernel calls __wrapped__
+@lru_cache(maxsize=16)  # convolve's and dirac's keys; the gexp kernel calls __wrapped__
 def _factorial_units(p: int, top: int, e: int) -> tuple:
     """(nu, u, iu), tuples over j = 0..top: j! = p^nu[j] u_j with u_j a unit,
     u[j] = u_j and iu[j] = u_j^-1 mod p^e.  u is one running product of the
@@ -481,7 +481,7 @@ def from_gexp(f: TruncSeries, ctx: PadicContext) -> MahlerFn:
     K = f.order, below M when K < gexp_length_for(p, M).
     """
     p, f0 = ctx.p, f.coeff(0)
-    v0, need = _vp(f0, p), 2 if p == 2 else 1
+    v0, need = _vp(f0, p), _exp_domain_valuation(p)
     if v0 < need:  # an exact zero has v0 = INF
         raise CompatibilityError(f"f(0) outside the exp disc: v_p = {v0} < {need}")
     phi = _gexp_kernel(ctx, _gexp_weights(f.coeffs[1:], ctx), f.order)

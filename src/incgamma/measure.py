@@ -15,15 +15,15 @@ from operator import add, mul
 
 from .exact import INF, as_rational, digit_count
 from .padic import PadicContext, PadicNumber
-from .mahler import MahlerFn, Tail, _joint_length, _line, _new, _record
+from .mahler import MahlerFn, Tail, _factorial_units, _joint_length, _line, _new, _record
 
 
 def dirac(x, ctx: PadicContext, length: int) -> MahlerFn:
     """delta_x with moments binom(x, n); |binom| <= 1 certifies the tail.
 
-    One int loop carries binom(x, n) = p^v u, u a unit mod p^M, through
-    binom(x, n+1) = binom(x, n) (a - nd) / (d (n+1)) for x = a/d, with the
-    unit parts of the d (n+1) inverted together by one modular pow.  At an
+    At x = a/d, binom(x, n) = p^(w_n - nu(n)) t_n / (d^n u_n): n! = p^nu(n) u_n
+    (_factorial_units), and one forward int loop carries t_n and w_n, the unit
+    part mod p^M and the valuation of prod_(k<n) (a - kd), and d^-n.  At an
     int or a Fraction (M = precision) a moment claims M + v, as ctx.number
     would; past an integer 0 <= x <= length they are exact zeros, with an
     exact tail.  At a PadicNumber x known mod p^M the moment binom(x, n) is
@@ -45,32 +45,20 @@ def dirac(x, ctx: PadicContext, length: int) -> MahlerFn:
             raise ValueError("Dirac point must lie in Z_p")
         claims = [INF] * (length + 1)
     mod = p ** M
-    # binom(x, n) = p^vs[n] nums[n] / D_n: nums and D_n = dens[0] ... dens[n]
-    # are prefix products of the unit parts of a - kd and d (k+1), k < n
-    nums, dens, vs, D = [1], [1], [0], 1
-    for n in range(length):
-        t = a - n * d
-        if t == 0:  # binom(x, n) = 0 beyond the integer x = n
-            break
-        q, v = d * (n + 1), vs[-1]
-        while t % p == 0:
-            t, v = t // p, v + 1
-        while q % p == 0:
-            q, v = q // p, v - 1
-        vs.append(v)
-        nums.append(nums[-1] * t % mod)
-        dens.append(q)
-        D = D * q % mod
-    else:
-        t = a - length * d
-    # one inversion for all: 1 / D_(n-1) = dens[n] / D_n, swept backward
-    res, inv = [0] * (length + 1), pow(D, -1, mod)
-    for n in range(len(vs) - 1, -1, -1):
-        res[n] = nums[n] * inv % mod * p ** vs[n]
+    nu, _, iu = _factorial_units(p, 1 << length.bit_length(), M)  # as convolve keys it
+    res, t, w, dn, di = [0] * (length + 1), 1, 0, 1, pow(d, -1, mod)
+    for n in range(length + 1):
+        v = w - nu[n]
+        res[n] = t * dn * iu[n] % mod * p ** v
         if not padic:
-            claims[n] = M + vs[n]
-        inv = inv * dens[n] % mod
-    exact = t == 0 and not padic
+            claims[n] = M + v
+        q = a - n * d
+        if q == 0:  # binom(x, m) = 0 for every m > n
+            break
+        while q % p == 0:
+            q, w = q // p, w + 1
+        t, dn = t * q % mod, dn * di % mod
+    exact = q == 0 and not padic
     return _new(ctx, _record(p, 0, res, claims),
                 Tail.exact() if exact else Tail(0, "binomials are integral"))
 
@@ -92,7 +80,7 @@ def _twisted(psi: MahlerFn, x, base: MahlerFn):
     do, and an exact-zero moment gives an exact zero."""
     _, _, B, Bc, Bv = base._res
     shift, _, E, Ec, Ev = _record(psi.ctx.p, *_line(psi, x, base.length))
-    claims = [INF if b == INF else min(b + e, c + w) for b, w, c, e in zip(Bc, Bv, Ec, Ev)]
+    claims = [min(b + e, c + w) for b, w, c, e in zip(Bc, Bv, Ec, Ev)]
     return _record(psi.ctx.p, shift, list(map(mul, B, E)), claims)
 
 

@@ -14,6 +14,7 @@ p = 2 the only root of unity of odd order in Q_2 is 1, so omega = 1 and
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import INF, _vp, as_rational, vp
@@ -27,6 +28,7 @@ class PrecisionError(ArithmeticError):
     """An operation needed more digits than its inputs carry."""
 
 
+@dataclass(frozen=True, slots=True)
 class PadicContext:
     """Carrier for the prime and the default working precision.
 
@@ -36,27 +38,13 @@ class PadicContext:
     since cache keys and cached values hold the context.
     """
 
-    __slots__ = ("p", "precision")
+    p: int
+    precision: int = 28
 
-    def __init__(self, p: int, precision: int = 28):
-        vp(1, p)  # primality check
-        if precision < 1:
+    def __post_init__(self):
+        vp(1, self.p)  # primality check
+        if self.precision < 1:
             raise ValueError("precision must be >= 1")
-        PadicContext.p.__set__(self, p)
-        PadicContext.precision.__set__(self, precision)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"PadicContext is immutable: cannot set {name!r}")
-
-    def __repr__(self):
-        return f"PadicContext(p={self.p}, precision={self.precision})"
-
-    def __eq__(self, other):
-        return (isinstance(other, PadicContext)
-                and self.p == other.p and self.precision == other.precision)
-
-    def __hash__(self):
-        return hash((self.p, self.precision))
 
     def number(self, q, abs_prec=None) -> "PadicNumber":
         return from_rational(q, self, abs_prec)

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from incgamma.exact import binom
 from incgamma.mahler import ExactMahler, MahlerFn, Tail
 from incgamma.measure import dirac, integrate, mu_psi_x
 from incgamma.padic import PadicContext, PadicNumber, congruent
@@ -27,6 +28,26 @@ def test_dirac_integer_point_is_finite():
     assert congruent(mu.coeff(2), ctx.number(3), 10)
     assert congruent(mu.coeff(4), ctx.number(0), 10)
     assert mu.tail.exponent == float("inf")
+    # x = length: the last stored moment binom(8, 8) = 1 ends the support
+    mu = dirac(8, ctx, 8)
+    assert mu.coeff(8) == ctx.one()
+    assert mu.tail == Tail.exact()
+
+
+@pytest.mark.parametrize("p, x, length", [
+    (2, Fraction(-7, 3), 40),
+    (3, -13, 30),                        # a negative integer has no zero moment
+    (5, Fraction(11, 10 ** 6 + 3), 25),  # a large denominator prime to p
+    (7, Fraction(5, 4), 0),
+    (2, 9, 20),                          # exact zeros past x
+])
+def test_dirac_moments_are_the_exact_binomials(p, x, length):
+    # each moment is ctx.number(binom(x, n)): its value and its claim M + v
+    ctx = PadicContext(p, 12)
+    mu = dirac(x, ctx, length)
+    assert mu.coeffs == tuple(ctx.number(binom(x, n)) for n in range(length + 1))
+    finite = Fraction(x).denominator == 1 and 0 <= x <= length
+    assert mu.tail == (Tail.exact() if finite else Tail(0, "binomials are integral"))
 
 
 def test_integrate_against_dirac_is_evaluation():
