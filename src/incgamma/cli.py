@@ -4,7 +4,8 @@ Four subcommands cover the day-to-day checks:
 
     psi-tilde     the exact rational target sequence
     eval          one value of Psi (p-adic) or the integral side (complex,
-                  checked against r^s psi_tilde(s) at integer s >= 0)
+                  checked against r^s psi_tilde(s) at integer s >= 0, else
+                  against gfn(s) = s gfn(s-1) + r^s)
     interp-check  both places against <r>^m psi_tilde(m), row per m
     func-eq       the functional equation for a polynomial weight
 
@@ -160,16 +161,20 @@ def _cmd_eval(args):
         ctx = _context(args.p, args.prec)
         params.update({"p": args.p, "prec": args.prec})
         return [_padic_row({"s": args.s}, ctx, Psi(r, s, ctx))], params
+    claim = f"quad epsabs {EPSABS:g}, tail {TAIL_TOL:g}"
     if s.denominator == 1 and s >= 0:
         m = int(s)
         val = psi_complex(float(r), m)
         good = _rel_err(val, float(r ** m * psi_tilde(r, m))) <= args.tol
-        params["tol"] = args.tol
-    elif r > 0:
-        val, good = gfn(float(s), float(r)), True
+    elif r > 0:  # no exact value: hold gfn to its recurrence, which shares quad
+        x, y = float(s), float(r)
+        val = gfn(x, y)
+        err = _rel_err(val, x * gfn(x - 1, y) + y ** x)
+        good = err <= args.tol
+        claim += f"; gfn(s) = s gfn(s-1) + r^s, rel_err {err:.3e}"
     else:
         raise ValueError("complex side needs integer s >= 0 when r < 0")
-    claim = f"quad epsabs {EPSABS:g}, tail {TAIL_TOL:g}"
+    params["tol"] = args.tol
     return [_row({"s": args.s}, "complex", repr(float(val)), claim, good)], params
 
 

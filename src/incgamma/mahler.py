@@ -27,7 +27,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from fractions import Fraction
-from itertools import accumulate, chain, repeat, zip_longest
+from itertools import accumulate, chain, compress, repeat, zip_longest
 from operator import add, mul, sub
 from typing import NamedTuple
 
@@ -430,13 +430,24 @@ def convolve(a: MahlerFn, b: MahlerFn) -> MahlerFn:
         alpha_k = p^(Ea - nu(k)) (ra_k u_k^-1 mod p^e),
         beta_j = p^(Eb - nu(j)) (rb_j u_j^-1 mod p^e),
     where k stops at ea, the last nonzero residue of the factor whose
-    support ends first, Ea = nu(ea) and Eb = nu(K), K the output length, so
-    alpha and beta are integers.  By Kummer's theorem nu(k + j) >= nu(k) +
-    nu(j), so p^(Ea + Eb - nu(n)) divides every term: the quotient is exact,
-    and reducing a unit part mod p^e moves c_n by a multiple of p^e.  Each
-    term is one C-level product; the unit tables come from _factorial_units,
-    cached per p, e and the power of two above K.  The tail pairs each
-    factor's tail beyond index floor(K/2) with the other factor's norm.
+    support ends first, or at last, the last index formed (below), if that
+    comes first; Ea = nu(ea) and Eb = nu(last), so alpha and beta are
+    integers.  By Kummer's theorem nu(k + j) >= nu(k) + nu(j), so
+    p^(Ea + Eb - nu(n)) divides every term: the quotient is exact, and
+    reducing a unit part mod p^e moves c_n by a multiple of p^e.
+
+    The same split cuts the output short.  With A the least v(ra_k) - nu(k)
+    over the nonzero residues ra_k mod p^e, and B that of rb, term k of c_n
+    has valuation
+        nu(n) - nu(k) - nu(n-k) + v(ra_k) + v(rb_(n-k)) >= nu(n) + A + B,
+    so from the first n with nu(n) >= e - (A + B) on, every c_n is 0 mod
+    p^e, and only the indices before it are formed.  A residue that is 0 mod
+    p^e counts in neither minimum: it adds no term, while its claim alone
+    would pin A far below the decay ((y)_n = 0 mod p^M claims M, nu(n) >> M).
+    Each term is one C-level product; the unit tables come from
+    _factorial_units, cached per p, e and the power of two above K, the
+    output length.  The tail pairs each factor's tail beyond index floor(K/2)
+    with the other factor's norm.
     """
     if a.ctx.p != b.ctx.p:
         raise ValueError("mixed primes")
@@ -450,19 +461,26 @@ def convolve(a: MahlerFn, b: MahlerFn) -> MahlerFn:
     mod = p ** e
     ra, rb = ([r % mod for r in f._res.res[:K_out + 1]] for f in (a, b))
     ea, eb = (max((k for k, r in enumerate(f) if r), default=-1) for f in (ra, rb))
-    if eb < ea:
-        ra, rb, ea = rb, ra, eb
-    out = [0] * (K_out + 1)
-    if ea >= 0:
+    out, last = [0] * (K_out + 1), -1
+    if min(ea, eb) >= 0:
         # tables past K_out serve every shorter length: one key per power of two
         nu, u, iu = _factorial_units(p, 1 << K_out.bit_length(), e)
-        Ea, Eb = nu[ea], nu[K_out]
+        # A + B, each the least v(r_k) - nu(k) over the nonzero residues r_k
+        low = sum(min(map(sub, compress(f._res.vals, r), compress(nu, r))) - f._res.shift
+                  for f, r in ((a, ra), (b, rb)))
+        last = min(K_out, bisect_left(nu, e - low) - 1)  # c_n = 0 mod p^e past last
+    if last >= 0:
+        if eb < ea:
+            ra, rb, ea = rb, ra, eb
+        ea = min(ea, last)
+        Ea, Eb = nu[ea], nu[last]
         pw = list(accumulate(repeat(p, Ea + Eb), mul, initial=1))
         alpha = [r * i % mod * pw[Ea - v] for r, i, v in zip(ra[:ea + 1], iu, nu)]
-        rev = [r * i % mod * pw[Eb - v] for r, i, v in zip(rb, iu, nu)]
-        rev = [0] * (K_out + 1 - len(rev)) + rev[::-1]  # rev[K_out - j] = beta_j
-        out = [sum(map(mul, alpha, rev[K_out - n:K_out - n + ea + 1])) // pw[Ea + Eb - v]
-               * un % mod for n, v, un in zip(range(K_out + 1), nu, u)]
+        rev = [r * i % mod * pw[Eb - v] for r, i, v in zip(rb[:last + 1], iu, nu)]
+        rev = [0] * (last + 1 - len(rev)) + rev[::-1]  # rev[last - j] = beta_j
+        out[:last + 1] = [sum(map(mul, alpha, rev[last - n:last - n + ea + 1]))
+                          // pw[Ea + Eb - v] * un % mod
+                          for n, v, un in zip(range(last + 1), nu, u)]
     half = K_out // 2
     texp = min(a.valuation_beyond(half) + b.min_valuation(),
                b.valuation_beyond(half) + a.min_valuation())
@@ -499,9 +517,10 @@ def _gexp_weights(g: list, ctx: PadicContext) -> list:
     for k, c in enumerate(g, start=1):
         if _vp(c, p) < 0:
             raise CompatibilityError(f"coefficient of x^{k} is not p-integral: {c}")
-        fact *= k
-        w = fact * (c - 1 if k == 1 else c)
-        out.append(w.numerator * pow(w.denominator, -1, mod) % mod)
+        fact = fact * k % mod
+        c = c - 1 if k == 1 else c
+        # c's denominator is prime to p, so k! c mod p^M needs only k! mod p^M
+        out.append(fact * c.numerator * pow(c.denominator, -1, mod) % mod)
     if _vp(g[0] - 1, p) < 1:
         raise CompatibilityError("f'(0) must be a principal unit")
     return out

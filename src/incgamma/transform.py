@@ -34,10 +34,12 @@ def one_minus_x_pow(y, ctx: PadicContext, length: int) -> MahlerFn:
     (-1)^n (y)_n = prod_(k<n) (k - y) has integer coefficients in y, so mod
     p^M it depends only on y mod p^M, M = min(ctx.precision, precision of
     y): one loop runs on that residue and every coefficient claims O(p^M).
-    The falling factorials (y)_n = n! binom(y, n) are integral for y in
-    Z_p, so the discarded coefficients all have valuation >=
-    v_p((length+1)!).  For integers 0 <= y <= length the terms past y are
-    exact zeros and the tail is exact.
+    Each product is a multiple of the one before, so the loop stops at the
+    first that is 0 mod p^M: every later residue is 0.  The falling
+    factorials (y)_n = n! binom(y, n) are integral for y in Z_p, so the
+    discarded coefficients all have valuation >= v_p((length+1)!).  For
+    integers 0 <= y <= length the terms past y are exact zeros and the tail
+    is exact.
     """
     p = ctx.p
     Y, M = zp_residue(y, ctx, ctx.precision)
@@ -48,6 +50,8 @@ def one_minus_x_pow(y, ctx: PadicContext, length: int) -> MahlerFn:
     res = [0] * (length + 1)
     c = 1
     for n in range(top + 1):
+        if not c:
+            break
         res[n] = c
         c = c * (n - Y) % mod
     rec = _record(p, 0, res, [M] * (top + 1) + [INF] * (length - top))

@@ -74,6 +74,38 @@ def test_eval_complex_checks_integer_s(capsys, monkeypatch, tol, code):
     assert doc["rows"][0]["status"] == ("pass" if code == 0 else "fail")
 
 
+@pytest.mark.parametrize("tol, code", [("1e-8", 1), ("1e-4", 0)])
+def test_eval_complex_checks_non_integer_s(capsys, monkeypatch, tol, code):
+    # at s = 2.5 there is no exact value: gfn(s) is held to s gfn(s-1) + r^s,
+    # so a relative error of 1e-6 in gfn(2.5) alone fails at --tol 1e-8
+    gfn = cli.gfn
+    monkeypatch.setattr(cli, "gfn", lambda s, r: gfn(s, r) * (1 + 1e-6 * (s == 2.5)))
+    got, doc = run_json(capsys, "eval", "--side", "complex", "--r", "2", "--s", "2.5",
+                        "--tol", tol)
+    assert got == code
+    assert doc["params"]["tol"] == float(tol)
+    row = doc["rows"][0]
+    assert row["status"] == ("pass" if code == 0 else "fail")
+    assert "gfn(s) = s gfn(s-1) + r^s, rel_err 1.0" in row["precision_claim"]
+
+
+@pytest.mark.parametrize("s", ["0.5", "2.5", "-0.5", "-3", "7.25", "30.5"])
+@pytest.mark.parametrize("r", [0.01, 0.5, 3.0, 40.0, 1e4])
+def test_gfn_recurrence_residual_at_real_s(r, s):
+    # integration by parts, r > 0: gfn(s) = s gfn(s-1) + r^s at every s
+    x = float(Fraction(s))
+    assert cli._rel_err(cli.gfn(x, r), x * cli.gfn(x - 1, r) + r ** x) <= 1e-10
+
+
+def test_eval_complex_non_integer_s_passes(capsys):
+    code, doc = run_json(capsys, "eval", "--side", "complex", "--r", "2", "--s", "1.5")
+    assert code == 0
+    assert doc["params"]["tol"] == 1e-8
+    claim = doc["rows"][0]["precision_claim"]
+    assert claim.startswith("quad epsabs 1e-12, tail 1e-13; gfn(s) = s gfn(s-1) + r^s, rel_err ")
+    assert float(claim.rsplit(" ", 1)[1]) <= 1e-10
+
+
 def test_eval_complex_far_above_zero(capsys):
     # r^2 psi_tilde(2) = 40000400002; the integrand is a spike of width 1/r at
     # x = 0, which quad finds only through gfn's endpoint breakpoint

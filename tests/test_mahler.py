@@ -241,6 +241,32 @@ def test_convolve_norm_submultiplicative():
         assert pc.min_valuation() >= pa.min_valuation() + pb.min_valuation()
 
 
+@pytest.mark.parametrize("p, k, va, j, vb, M", [
+    (3, 3, 1, 6, 2, 5),    # A = B = 0, nu(9) = 4 = e - 1
+    (2, 2, 1, 2, 1, 4),    # A = B = 0, nu(4) = 3 = e - 1
+    (5, 5, -1, 5, 1, 2),   # shift -1: A = -1, B = 0, nu(10) - 1 = 1 = e - 1
+])
+def test_convolve_keeps_the_first_index_a_cut_one_digit_early_would_drop(p, k, va, j, vb, M):
+    """One-term factors a_k and b_j: c_n, n = k + j, is their single product,
+    of residue valuation nu(n) + A + B = e - 1 exactly, and n is the first
+    index with nu(n) >= e - 1 - (A + B).  The cut keeps it; a cut one digit
+    early would report 0."""
+    ctx = PadicContext(p, M)
+    ak, bj = Fraction(p) ** va * (p - 1), Fraction(p) ** vb * (p + 1)
+    a = MahlerFn(ctx, [0] * k + [ctx.number(ak, abs_prec=M)], Tail.exact())
+    b = MahlerFn(ctx, [0] * j + [ctx.number(bj, abs_prec=M)], Tail.exact())
+    n = k + j
+    assert vp_factorial(n - 1, p) < vp_factorial(n, p)
+    want = math.comb(n, k) * ak * bj
+    for c in (convolve(a, b), convolve(b, a)):
+        assert c.length == n
+        # residues in units of p^(sa + sb), known mod p^e, e = M - max(sa, sb)
+        sa, sb = min(0, va), min(0, vb)
+        assert c.coeffs[n].valuation - (sa + sb) == M - max(sa, sb) - 1
+        assert congruent(c.coeffs[n], ctx.number(want))
+        assert all(not r for r in c._res.res[:n])
+
+
 def test_shift_with_finite_tail_caps_last_coefficient():
     ctx = PadicContext(3, 20)
     phi = MahlerFn(ctx, [1, 1, 1], Tail(9, "test"))

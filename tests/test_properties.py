@@ -35,11 +35,11 @@ from incgamma.exact import INF, binom, falling, vp, vp_factorial
 from incgamma.gamma_padic import (Phi, Psi, _phi_dfinite, _phi_expansion, f_r_series,
                                   phi_fr, poly_gexp, psi_tilde)
 from incgamma.mahler import (ExactMahler, MahlerFn, Tail, _gexp_fn, _gexp_kernel,
-                             _joint_length, _line, _record, convolve, from_gexp,
-                             gexp_length_for, gexp_tail_floor)
+                             _gexp_weights, _joint_length, _line, _record, convolve,
+                             from_gexp, gexp_length_for, gexp_tail_floor)
 from incgamma.measure import dirac, integrate, mu_psi_x
 from incgamma.padic import (DivergentSeriesError, PadicContext, PadicNumber, congruent,
-                            p_exp, principal_part, principal_power, teichmuller)
+                            p_exp, principal_part, principal_power, teichmuller, zp_residue)
 from incgamma.series import TruncSeries
 from incgamma.transform import (AmiceElem, _graded_l_values, factorial_length_for, l_value,
                                 l_values, l_x, one_minus_x_pow, two_var)
@@ -193,6 +193,46 @@ def test_one_minus_x_pow_agrees_with_every_lift(data):
     for lift in ys:
         for n in range(length + 1, length + 4):
             assert vp(falling(lift, n), ctx.p) >= g.tail.exponent
+
+
+@SETTINGS
+@given(st.data())
+def test_one_minus_x_pow_matches_the_full_loop(data):
+    """The loop that stops at its first residue 0 mod p^M gives the record
+    and tail of the loop that forms every (-1)^n (y)_n mod p^M; at M 1-6 and
+    lengths up to 60 most draws reach such a residue before the end."""
+    ctx = PadicContext(data.draw(st.sampled_from((2, 3, 5, 7))), data.draw(st.integers(1, 6)))
+    y, ys, _ = data.draw(exponents(ctx))
+    length = data.draw(st.integers(0, 60))
+    g = one_minus_x_pow(y, ctx, length)
+    Y, M = zp_residue(y, ctx, ctx.precision)
+    exact = (not isinstance(y, PadicNumber) and ys[0].denominator == 1
+             and 0 <= ys[0] <= length)
+    top = int(ys[0]) if exact else length
+    res = [math.prod(k - Y for k in range(n)) % ctx.p ** M for n in range(top + 1)]
+    want = _record(ctx.p, 0, res + [0] * (length - top), [M] * (top + 1) + [INF] * (length - top))
+    assert g._res == want
+    assert g.tail == (Tail.exact() if exact else
+                      Tail(vp_factorial(length + 1, ctx.p), "factorial decay"))
+
+
+@SETTINGS
+@given(st.data())
+def test_gexp_weights_match_the_fraction_formula(data):
+    """_gexp_weights on ints is k! (g_k - [k = 1]) formed as a Fraction and
+    reduced mod p^M, the first weight g_1 - 1 included, at p 2-13 and M up
+    to past v_p(k!) for the larger k."""
+    p = data.draw(st.sampled_from((2, 3, 5, 7, 11, 13)))
+    ctx = PadicContext(p, data.draw(st.integers(1, 30)))
+    nums = data.draw(st.lists(st.integers(-10 ** 9, 10 ** 9), min_size=1, max_size=40))
+    g = [Fraction(a, data.draw(st.integers(1, 10 ** 4).filter(lambda d: d % p))) for a in nums]
+    g[0] = 1 + p * g[0]  # a principal unit
+    mod = p ** ctx.precision
+    want = []
+    for k, c in enumerate(g, start=1):
+        w = math.factorial(k) * (c - 1 if k == 1 else c)
+        want.append(w.numerator * pow(w.denominator, -1, mod) % mod)
+    assert _gexp_weights(g, ctx) == want
 
 
 @st.composite
@@ -566,15 +606,20 @@ def pascal_convolve(a: MahlerFn, b: MahlerFn) -> tuple:
 
 @st.composite
 def convolve_factors(draw, ctx):
-    """A MahlerFn of 1, 2..8 or 9..121 coefficients: valuations -4..3, claims
-    up to past the precision (on some factors only v + 1 and v + 2, which
-    put the convolution's modulus at p^0), O(p^A) entries and exact zeros,
-    an exact or a finite tail."""
+    """A MahlerFn of 1, 2..8 or 9..121 coefficients.  Valuations run over
+    -4..3, or on a decaying factor over f(n) - s..f(n) + 3 - s, s in 0..2,
+    with f(n) = nu(n) like (y)_n or nu(n) - nu(floor(n/2)) like phi_r
+    (nu(n) = v_p(n!)), so that convolve's tail cut fires.  Claims run up to
+    past the precision (on some factors only v + 1 and v + 2, which put the
+    convolution's modulus at p^0); O(p^A) entries and exact zeros; an exact
+    or a finite tail."""
     p, M = ctx.p, ctx.precision
     rng = random.Random(draw(st.integers(0, 2 ** 32)))
     size = draw(st.sampled_from((1, rng.randint(2, 8), rng.randint(9, 121))))
     coeffs, coarse = [], rng.random() < 0.15  # claims v + 1, v + 2: often e = 0
-    for _ in range(size):
+    decay = rng.choice((None, None, "falling", "gexp"))
+    shift = rng.choice((0, 0, 1, 2))
+    for n in range(size):
         kind = rng.choice(("value",) * 8 + ("zero", "O"))
         if kind == "zero":
             coeffs.append(ctx.zero())
@@ -582,7 +627,11 @@ def convolve_factors(draw, ctx):
             A = rng.randint(1, M)
             coeffs.append(PadicNumber(ctx, A, 0, A))
         else:
-            v = rng.randint(-4, 3)
+            if decay is None:
+                v = rng.randint(-4, 3)
+            else:
+                floor = vp_factorial(n, p) - (decay == "gexp") * vp_factorial(n // 2, p)
+                v = floor + rng.randint(0, 3) - shift
             low = v + 1 if coarse or rng.random() < 0.1 else max(v + 1, M // 2)
             high = v + 2 if coarse else max(low, M + 3)
             q = Fraction(rng.randint(1, p ** 6), rng.choice((1, p + 1))) * Fraction(p) ** v
@@ -597,7 +646,8 @@ def test_convolve_matches_the_pascal_row_sum(data):
     """The factorial-scaled convolve gives the record and tail of the
     binomial sum in both orders, at p 2-13 and M 1-40, on shifts down to -4,
     O(p^A) entries, exact zeros, claims at or below the shift (so residues
-    mod p^0) and supports of one coefficient up to 121."""
+    mod p^0), supports of one coefficient up to 121, and decaying factors
+    whose products are 0 mod p^e past some index, where convolve stops."""
     ctx = PadicContext(data.draw(st.sampled_from((2, 3, 5, 7, 11, 13))),
                        data.draw(st.integers(1, 40)))
     a, b = data.draw(convolve_factors(ctx)), data.draw(convolve_factors(ctx))

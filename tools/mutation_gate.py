@@ -32,6 +32,9 @@ MUTANTS = (
     ("convolve claims M + max(sa, sb)", "mahler.py",
      "claim = M + min(sa, sb)", "claim = M + max(sa, sb)",
      ["tests/test_mahler.py"]),
+    ("convolve's cut stops one digit early", "mahler.py",
+     "bisect_left(nu, e - low) - 1", "bisect_left(nu, e - low - 1) - 1",
+     ["tests/test_mahler.py"]),
     ("convolve pairs the tails beyond K_out, not K_out // 2", "mahler.py",
      "half = K_out // 2", "half = K_out",
      ["tests/test_mahler.py"]),
