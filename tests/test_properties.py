@@ -13,7 +13,9 @@ AmiceElem.to_mahler, the values along x - k, two_var, l_x, convolutions and
 gexp kernels long enough for both halves of their scaled convolution) and the
 L-values (l_value, Psi at a PadicNumber s) meet the same lift oracles, and
 p_exp meets Fraction partial sums.  convolve is held, record and tail
-included, to the binomial sum it replaced, read off a plain Pascal row.
+included, to the binomial sum it replaced, read off a plain Pascal row,
+also on decaying factors where it stops early; one_minus_x_pow and
+_gexp_weights are held to the loop and the Fraction formula they replaced.
 The residue operators that replaced PadicNumber chains are also held to
 those chains, claims included, and the D-finite recurrence for phi_r to the
 gexp kernel, record and tail included.  The graded L-value record is held
@@ -200,7 +202,8 @@ def test_one_minus_x_pow_agrees_with_every_lift(data):
 def test_one_minus_x_pow_matches_the_full_loop(data):
     """The loop that stops at its first residue 0 mod p^M gives the record
     and tail of the loop that forms every (-1)^n (y)_n mod p^M; at M 1-6 and
-    lengths up to 60 most draws reach such a residue before the end."""
+    lengths up to 60 about half the draws reach such a residue before the
+    end."""
     ctx = PadicContext(data.draw(st.sampled_from((2, 3, 5, 7))), data.draw(st.integers(1, 6)))
     y, ys, _ = data.draw(exponents(ctx))
     length = data.draw(st.integers(0, 60))
