@@ -51,7 +51,7 @@ MAX_LENGTH = 2048
 # (same VM).
 MAX_M = 1000
 
-# The most func-eq samples, each of which rebuilds poly_gexp and its graded
+# The most func-eq samples, each of which rebuilds poly_gexp and its
 # L-values before any row is printed.  The samples are drawn from -8..8, so
 # 100 rarely miss one of the 17 values.  At it --poly 1,5,-5 --p 5 --prec 200
 # takes about 3.0 s, and --poly 1,2,3 --p 2 --prec 1011, at MAX_LENGTH,
@@ -82,6 +82,18 @@ def _tolerance(text: str) -> float:
     if not 0 <= tol < math.inf:
         raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text}")
     return tol
+
+
+def _rational(flag: str, text: str, parse=as_rational):
+    """parse(text), the value given as flag, or ValueError naming the flag,
+    its text and the cause."""
+    try:
+        return parse(text)
+    except ZeroDivisionError:
+        cause = "zero denominator"
+    except ValueError:
+        cause = "not a rational"
+    raise ValueError(f"{flag} {text!r}: {cause}")
 
 
 def _context(p: int, prec: int) -> PadicContext:
@@ -146,14 +158,14 @@ def _padic_row(key: dict, ctx: PadicContext, got, want=None) -> dict:
 
 
 def _cmd_psi_tilde(args):
-    r, m_max = as_rational(args.r), _at_most(MAX_M, "--m-max", args.m_max)
+    r, m_max = _rational("--r", args.r), _at_most(MAX_M, "--m-max", args.m_max)
     rows = [{"m": m, "value": _exact(m, v), "precision_claim": "exact", "status": "pass"}
             for m, v in enumerate(psi_tilde_values(r, m_max))]
     return rows, {"r": str(r), "m_max": m_max}
 
 
 def _cmd_eval(args):
-    r, s = as_rational(args.r), as_rational(args.s)
+    r, s = _rational("--r", args.r), _rational("--s", args.s)
     params = {"r": str(r), "s": args.s, "side": args.side}
     if args.side == "padic":
         if args.p is None:
@@ -179,7 +191,7 @@ def _cmd_eval(args):
 
 
 def _cmd_interp_check(args):
-    r = as_rational(args.r)
+    r = _rational("--r", args.r)
     if args.p is None and not getattr(args, "complex"):
         raise ValueError("pick at least one side: --p and/or --complex")
     m_max = _at_most(MAX_M, "--m-max", args.m_max)
@@ -205,7 +217,8 @@ def _cmd_interp_check(args):
 
 def _cmd_func_eq(args):
     count = _at_most(MAX_SAMPLES, "--samples", args.samples)
-    coeffs = [as_rational(c) for c in args.poly.split(",")]
+    coeffs = _rational("--poly", args.poly,
+                       lambda text: [as_rational(c) for c in text.split(",")])
     ctx = _context(args.p, args.prec)
     rng = random.Random(args.seed)
     samples = [rng.randint(-8, 8) for _ in range(count)]

@@ -58,12 +58,12 @@ def _panel(fn, lo: float, hi: float) -> tuple:
     return -abs(k - h * sum(map(mul, _GAUSS, ys[1::2]))), lo, hi, k
 
 
-def quad(fn, a: float, b: float, *, epsabs=EPSABS, epsrel=EPSREL, limit=LIMIT, points=None):
+def quad(fn, a: float, b: float, *, points=None):
     """int_a^b fn(x) dx for a <= b, as (value, abserr); fn may be complex.
 
     QUADPACK's globally adaptive Gauss-Kronrod scheme: [a, b] is split at
     points, then the panel with the largest error is bisected until the
-    errors sum to at most max(epsabs, epsrel |value|) or limit panels exist.
+    errors sum to at most max(EPSABS, EPSREL |value|) or LIMIT panels exist.
     """
     edges = sorted({a, b, *(x for x in points or () if a < x < b)})
     heap = [_panel(fn, lo, hi) for lo, hi in zip(edges, edges[1:])]
@@ -71,7 +71,7 @@ def quad(fn, a: float, b: float, *, epsabs=EPSABS, epsrel=EPSREL, limit=LIMIT, p
     while True:
         value = sum(entry[3] for entry in heap)
         error = sum(-entry[0] for entry in heap)
-        if error <= max(epsabs, epsrel * abs(value)) or len(heap) >= limit:
+        if error <= max(EPSABS, EPSREL * abs(value)) or len(heap) >= LIMIT:
             return value, error
         _, lo, hi, _ = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)

@@ -30,7 +30,7 @@ from .series import TruncSeries
 from . import mahler
 from .mahler import MahlerFn, _gexp_fn, _gexp_kernel, _gexp_weights, convolve, gexp_length_for
 from .measure import dirac, integrate
-from .transform import _graded_l_values, factorial_length_for, l_value, one_minus_x_pow
+from .transform import factorial_length_for, l_value, l_values, one_minus_x_pow
 
 
 class PlaceExcludedError(ValueError):
@@ -114,24 +114,23 @@ def _phi_expansion(r: Fraction, ctx: PadicContext, length: int) -> MahlerFn:
 
     r must be a unit at p (PlaceExcludedError otherwise), checked before
     either route runs: the gexp kernel or, for r of small height
-    (_takes_dfinite), the D-finite recurrence of _phi_dfinite.  The kernel
-    weights of f_r - t are w_1 = 0 and w_k = G_k A^-(k-1), G_1 = 1,
-    G_(k+1) = -G_k (B - kA), as f_r has c_k = G_k / (A^(k-1) k!).  Only the
-    unit A is inverted, and both routes end in mahler._gexp_fn, so their
-    records and tails are identical.
+    (_takes_dfinite), the D-finite recurrence of _phi_dfinite.  f_r has
+    k! c_k = (-1)^(k-1) (1/r - 1)_(k-1), so the kernel weights of f_r - t
+    are w_1 = 0 and w_k = W_k mod p^M, W_1 = 1, W_(k+1) = W_k (k - 1/r):
+    one product per index, with 1/r = B A^-1 mod p^M.  Only the unit A is
+    inverted, and both routes end in mahler._gexp_fn, so their records and
+    tails are identical.
     """
     require_unit(r, ctx.p)
     A, B = r.numerator, r.denominator
     mod = ctx.p ** ctx.precision
     if _takes_dfinite(A, B, length):
         return _gexp_fn(ctx, _phi_dfinite(A, B, mod, length))
-    Ainv = pow(A, -1, mod)
-    weights = [0]
-    G, scale = 1, 1  # G_k mod p^M and A^-(k-1) mod p^M
+    c = B * pow(A, -1, mod) % mod
+    weights, w = [0], 1
     for k in range(1, length):
-        G = -G * (B - k * A) % mod
-        scale = scale * Ainv % mod
-        weights.append(G * scale % mod)
+        w = w * (k - c) % mod
+        weights.append(w)
     return _gexp_kernel(ctx, weights, length)
 
 
@@ -184,9 +183,9 @@ def _phi_dfinite(A: int, B: int, mod: int, length: int) -> list:
 
 @lru_cache(maxsize=32)
 def _twist_and_lvalues(r: Fraction, ctx: PadicContext, K: int) -> tuple:
-    """(<r>, the graded LValues of phi_r's default expansion through index K,
-    see transform._graded_l_values): everything a warm Phi or Psi reads."""
-    return principal_part(ctx.number(r)), _graded_l_values(phi_fr(r, ctx), K)
+    """(<r>, the LValues of phi_r's default expansion through index K):
+    everything a warm Phi or Psi reads."""
+    return principal_part(ctx.number(r)), l_values(phi_fr(r, ctx), K)
 
 
 def poly_gexp(coeffs, ctx: PadicContext, length: int | None = None) -> MahlerFn:
@@ -302,7 +301,7 @@ def functional_eq_parts(coeffs, s, ctx: PadicContext, target: int | None = None)
     if target is None:
         target = ctx.precision
     phi = poly_gexp(coeffs, ctx)
-    vals = _graded_l_values(phi, factorial_length_for(ctx.p, target))
+    vals = l_values(phi, factorial_length_for(ctx.p, target))
 
     def value_at(x):
         return l_value(phi, x, target=target, values=vals)

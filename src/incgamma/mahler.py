@@ -27,7 +27,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from fractions import Fraction
-from itertools import accumulate, chain, compress, repeat, zip_longest
+from itertools import accumulate, compress, repeat, zip_longest
 from operator import add, mul, sub
 from typing import NamedTuple
 
@@ -574,35 +574,26 @@ def _gexp_kernel(ctx: PadicContext, weights: list, length: int) -> MahlerFn:
                          "need v(w_1) >= 1 and v(w_k) >= v_p(k!)")
     # nu(n-1), so m(n), is constant on each block n = s+1..s+p, s = 0, p, 2p, ...,
     # where the cut n - 2 m(n) rises by one per step, so a block's last cut is its
-    # largest; reaches[b] is the largest cut from block b on
+    # largest; the run ends with the last block whose end cut is positive
     twice_m = [2 * bisect_right(nu, v - M) for v in nu[:length:p]]
-    ends = [*range(p, length, p), length]
-    reaches = list(accumulate(map(sub, ends[::-1], twice_m[::-1]), max))[::-1]
-    # the run ends before the first block with no positive cut ahead
-    last = min(length, p * next((i for i, r in enumerate(reaches) if r <= 0), len(reaches)))
+    last = max((end for end, t in zip([*range(p, length, p), length], twice_m) if end > t),
+               default=0)
     # a_k is kept mod p^(M - nu(k-1)), so it is 0 once nu(k-1) >= M
     K, E = min(deg, last, bisect_left(nu, M)), nu[last // 2]
     pw = list(accumulate(repeat(p, max(M + E, nu[last])), mul, initial=1))
-    # p^max(0, v - E), p^max(0, E - v) and p^max(0, M+E-v) at index v
-    up = [1] * E + pw
-    down, trim = (pw[e::-1] + [1] * len(pw) for e in (E, M + E))
     _, u, iu = _factorial_units.__wrapped__(p, last, M + E)
-    # a_k mod p^(M - nu(k-1)), ar[K-k] = a_k; b_j mod trim[nu(j)]
+    # a_k mod p^(M - nu(k-1)), ar[K-k] = a_k
     ar = [c // pw[v] * i % pw[M - v] for c, v, i in zip(w[1:K + 1], nu, iu)][::-1]
-    # per n: the terms k = 1..top, then d_n = S_n // D * P * u_(n-1) mod p^M
-    # and b_n = d_n // H * P' * u_n^-1 mod p^(M+E-nu(n)), D, P, H, P' powers of p
-    tops = map(min, map(sub, range(1, last + 1),
-                        chain.from_iterable(map(repeat, twice_m, repeat(p)))), repeat(K))
-    at_n = (map(down.__getitem__, nu), map(up.__getitem__, nu), u,
-            map(up.__getitem__, nu[1:]), map(down.__getitem__, nu[1:]), iu[1:],
-            map(trim.__getitem__, nu[1:]))
     d, b = [1], [pw[E]]
-    for n, top, D, P, U, H, P2, IU, B in zip(range(1, last + 1), tops, *at_n):
-        # the slices are empty when top <= 0
-        dn = sum(map(mul, ar[K - top:K], b[n - top:n])) // D * P * U % mod
+    for n in range(1, last + 1):
+        top = min(n - twice_m[(n - 1) // p], K)  # the slices are empty when top <= 0
+        S, v, vn = sum(map(mul, ar[K - top:K], b[n - top:n])), nu[n - 1], nu[n]
+        dn = (S * pw[v - E] if v >= E else S // pw[E - v]) * u[n - 1] % mod
         d.append(dn)
-        b.append(dn // H * P2 * IU % B)
-    del nu, u, iu, ar, b, tops, at_n  # the tables go before the record is built
+        # b_n = p^(E - nu(n)) d_n / u_n, kept mod p^(M + E - nu(n))
+        bn = dn * pw[E - vn] if vn <= E else dn // pw[vn - E]
+        b.append(bn * iu[n] % pw[max(0, M + E - vn)])
+    del nu, u, iu, ar, b  # the tables go before the record is built
     d += [0] * (length + 1 - len(d))
     return _gexp_fn(ctx, d)
 

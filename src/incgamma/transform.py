@@ -15,7 +15,7 @@ from functools import lru_cache
 
 from .exact import INF, _vp, as_rational, vp_factorial
 from .padic import PadicContext, PadicNumber, congruent, zp_residue
-from .mahler import MahlerFn, Tail, _line, _new, _passes, _record, convolve
+from .mahler import MahlerFn, Tail, _new, _passes, _record, convolve
 from .measure import _twisted, dirac, integrate
 
 
@@ -132,13 +132,12 @@ def l_x(phi: MahlerFn, x, length: int | None = None) -> MahlerFn:
 
 @dataclass(frozen=True)
 class LValues:
-    """phi(-1 - k) = p^shift * residues[k] + O(p^claim) for k = 0..K.
+    """phi(-1 - k) = p^shift * residues[k] + O(p^claim) for k = 0..K, read by
+    l_value only mod p^(claim - v_p(k!)), all that l_values keeps.
 
     shift <= 0 is the lowest stored coefficient valuation when that is
-    negative, so the residues are plain ints, read mod p^(claim - shift); norm is
-    phi.min_valuation(), which bounds the terms l_value leaves out.  A graded
-    record knows residues[k] only mod p^(claim - shift - v_p(k!)), all that
-    l_value reads (see _graded_l_values).
+    negative, so the residues are plain ints; norm is phi.min_valuation(),
+    which bounds the terms l_value leaves out.
     """
 
     ctx: PadicContext
@@ -149,30 +148,23 @@ class LValues:
 
 
 def l_values(phi: MahlerFn, K: int) -> LValues:
-    """phi(-1 - k) for k = 0..K, each claiming min(M, tail) as MahlerFn.eval
-    does: the x = -1 case of mahler._line, whose row is then (1,), so each
-    value is the total of one C-level suffix-sum pass."""
-    shift, residues, claims = _line(phi, -1, K)
-    return LValues(phi.ctx, tuple(residues), claims[0], shift, phi.min_valuation())
-
-
-def _graded_l_values(phi: MahlerFn, K: int) -> LValues:
-    """The record of l_values(phi, K) with value k known only mod
+    """The L-values phi(-1 - k), k = 0..K, with value k known mod
     p^(claim - v_p(k!)), all that an l_value sum reads.
 
-    claim = min(M, T) as l_values claims it: M the least coefficient claim
-    (the precision when every coefficient is exact), T the tail; every
-    unstored a_n has valuation >= T, so below M the full record is right
-    only mod p^T.  Pass k of mahler._passes runs mod p^e_k,
-    e_k = max(0, claim - shift - v_p(k!)), on the residues
-    res[n] = a_n / p^shift (which carry p^-shift when shift < 0), and first
-    drops the top coefficients of valuation at least claim - v_p(k!), whose
-    residues are 0 mod p^e_k; so p^shift times value k is right mod
-    p^(claim - v_p(k!)).  l_value sums (S)_k times residue k mod p^n,
-    n <= claim - shift, and (S)_k, even reduced mod p^n, is a multiple of
-    p^min(n, v_p(k!)); so a residue right mod p^e_k moves no term mod p^n
-    (once e_k = 0, term k is 0 mod p^n), and every sum, value and claim, is
-    the one over l_values(phi, K).
+    claim = min(M, T) as MahlerFn.eval claims phi(-1 - k): M the least
+    coefficient claim (the precision when every coefficient is exact), T
+    the tail; every unstored a_n has valuation >= T, so below M a value is
+    right only mod p^T.  They are the x = -1 case of mahler._line, whose row
+    is then (1,), so value k is the total of k + 1 suffix-sum passes of
+    mahler._passes.  Pass k runs mod p^e_k, e_k = max(0, claim - shift -
+    v_p(k!)), on the residues res[n] = a_n / p^shift (which carry p^-shift
+    when shift < 0), and first drops the top coefficients of valuation at
+    least claim - v_p(k!), whose residues are 0 mod p^e_k; so p^shift times
+    value k is right mod p^(claim - v_p(k!)).  l_value sums (S)_k times
+    residue k mod p^n, n <= claim - shift, and (S)_k, even reduced mod p^n,
+    is a multiple of p^min(n, v_p(k!)); so a residue right mod p^e_k moves
+    no term mod p^n (once e_k = 0, term k is 0 mod p^n), and every sum,
+    value and claim, is the one over the values mod p^claim.
     """
     ctx, (shift, M, _, _, _) = phi.ctx, phi._res
     claim = min(ctx.precision if M == INF else M, phi.tail.exponent)
@@ -188,9 +180,8 @@ def l_value(phi: MahlerFn | None, s, target: int | None = None,
     K is the least length with v_p((K+1)!) >= target.  values caches the
     phi(-1 - k) across calls: an LValues record from l_values (phi may then
     be None), or a list of PadicNumbers, which is converted once; either
-    must reach index K.  Without values the sum reads _graded_l_values(phi,
-    K), which gives the sum and claim over l_values(phi, K).  The sum runs on
-    residues, and claims min(values claim, M + shift, N + shift,
+    must reach index K.  Without values the sum reads l_values(phi, K).  The
+    sum runs on residues, and claims min(values claim, M + shift, N + shift,
     v_p((K+1)!) + e), where M = ctx.precision, N is the precision of a
     PadicNumber s, shift the record's (0 unless some value has negative
     valuation) and e = phi.min_valuation() bounds the terms beyond K.
@@ -201,7 +192,7 @@ def l_value(phi: MahlerFn | None, s, target: int | None = None,
         target = ctx.precision
     K = factorial_length_for(p, target)
     if values is None:
-        values = _graded_l_values(phi, K)
+        values = l_values(phi, K)
     elif not isinstance(values, LValues):  # the list's residue record (empty stays empty)
         shift, claim, residues, _, _ = MahlerFn(ctx, values, Tail.exact())._res
         values = LValues(ctx, residues[:len(values)], claim, shift, phi.min_valuation())

@@ -138,6 +138,19 @@ def test_interp_check_padic(capsys):
     assert all(row["status"] == "pass" for row in doc["rows"])
 
 
+def test_interp_check_fails_a_wrong_last_claimed_digit(capsys, monkeypatch):
+    # Psi off by p^(k-1), so right mod p^(k-1) only: every row claims
+    # mod p^k, so every row fails
+    psi = cli.Psi
+    monkeypatch.setattr(cli, "Psi", lambda r, m, ctx: psi(r, m, ctx)
+                        + ctx.number(ctx.p ** (ctx.precision - 1)))
+    code, doc = run_json(capsys, "interp-check", "--r", "5/3", "--p", "7",
+                         "--m-max", "4", "--prec", "12")
+    assert code == 1
+    assert [row["status"] for row in doc["rows"]] == ["fail"] * 5
+    assert {row["precision_claim"] for row in doc["rows"]} == {"mod 7^12"}
+
+
 def test_interp_check_negative_r_complex(capsys):
     code, doc = run_json(capsys, "interp-check", "--r", "-1", "--complex",
                          "--m-max", "8")
@@ -206,6 +219,23 @@ def test_incompatible_weight_exit(capsys):
     code, _, err = run(capsys, "func-eq", "--poly", "2", "--p", "5")
     assert code == 2
     assert "principal" in err
+
+
+@pytest.mark.parametrize("argv, flag, text, cause", [
+    (("psi-tilde", "--r", "2/0"), "--r", "2/0", "zero denominator"),
+    (("interp-check", "--r", "abc", "--p", "3"), "--r", "abc", "not a rational"),
+    (("interp-check", "--r=", "--complex"), "--r", "", "not a rational"),
+    (("eval", "--side", "complex", "--r", "2", "--s", "x"), "--s", "x", "not a rational"),
+    (("eval", "--side", "padic", "--r", "2", "--s", "1/0", "--p", "3"), "--s", "1/0",
+     "zero denominator"),
+    (("func-eq", "--poly", "1,,2", "--p", "5"), "--poly", "1,,2", "not a rational"),
+    (("func-eq", "--poly", "1,1/0", "--p", "5"), "--poly", "1,1/0", "zero denominator"),
+])
+def test_unparsable_rational_flag_names_the_flag(capsys, argv, flag, text, cause):
+    # one error line naming the flag, its text and the cause, before any row
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {flag} {text!r}: {cause}\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -6,8 +6,10 @@ import mpmath
 import pytest
 from scipy.special import gamma as sp_gamma, gammainc, gammaincc
 
-from incgamma.gamma_complex import (EPSABS, _cut, gammahat, gfn, lgfn, mellin_fe_residual,
-                                    mellin_phi, psi_complex, quad, upper_gamma)
+from incgamma import gamma_complex
+from incgamma.gamma_complex import (EPSABS, _cut, _panel, gammahat, gfn, lgfn,
+                                    mellin_fe_residual, mellin_phi, psi_complex, quad,
+                                    upper_gamma)
 from incgamma.gamma_padic import compatible_cubic, psi_tilde
 
 
@@ -121,6 +123,32 @@ def test_mellin_phi_steep_linear_weight():
         c = 10 ** (e / 4)
         want = (c * c + 2 * c + 2) / c ** 3
         assert abs(mellin_phi([c], 2.0) - want) <= 1e-8 * want, c
+
+
+@pytest.mark.parametrize("g1", [100, 1000])
+def test_mellin_phi_spike_of_a_cubic_against_mpmath(g1):
+    # f = g1 x + x^3 puts a spike of width 1/g1 at x = 0 on a contour that
+    # reaches far below it; the nodes of quad's first panel there step over
+    # it unless _spike splits it off, already at slopes well below 4000
+    for s in (0.0, 1.5):
+        with mpmath.workdps(30):
+            def h(x):
+                return (1 - x) ** s * mpmath.exp(g1 * x + x ** 3)
+            cuts = [-mpmath.mpf(10) ** -j for j in range(-1, 6)]
+            want = float(mpmath.quad(h, [-mpmath.inf, *cuts, 0]))
+        assert abs(mellin_phi([g1, 0, 1], s) - want) <= 1e-10 * want, (g1, s)
+
+
+def test_mellin_fe_residual_reads_a_scale_error_in_phi(monkeypatch):
+    # at s = 0 the left side is 1 and the Phi terms of this cubic are near 1,
+    # so a relative error of 1e-6 in every Phi value leaves a residual of
+    # about 1e-6: the scale max(1, |lhs|, |rhs|) is about 1, not larger
+    g = compatible_cubic(-1, 1, 1)
+    assert mellin_fe_residual(g, 0.0) <= 1e-12
+    exact = gamma_complex.mellin_phi
+    monkeypatch.setattr(gamma_complex, "mellin_phi",
+                        lambda coeffs, s: exact(coeffs, s) * (1 + 1e-6))
+    assert mellin_fe_residual(g, 0.0) >= 5e-7
 
 
 def test_lgfn_far_below_zero_against_mpmath():
@@ -275,11 +303,12 @@ def test_quad_one_panel_is_exact_through_degree_31():
     for a, b in ((-1.0, 1.0), (0.0, 2.0)):
         for d in range(32):
             want = (b ** (d + 1) - a ** (d + 1)) / (d + 1)
-            got, err = quad(lambda x: x ** d, a, b, limit=1)
+            neg_err, _, _, got = _panel(lambda x: x ** d, a, b)
+            err = -neg_err
             assert abs(got - want) <= 1e-14 * max(1.0, abs(want)), (a, b, d)
             if d <= 19:
                 assert err <= 1e-14 * max(1.0, abs(want)), (a, b, d)
-    assert quad(lambda x: x ** 20, 0.0, 2.0, limit=1)[1] > 1e-12
+    assert -_panel(lambda x: x ** 20, 0.0, 2.0)[0] > 1e-12
 
 
 def test_quad_complex_is_the_sum_of_its_parts():
@@ -307,12 +336,13 @@ def test_quad_error_meets_the_tolerance_on_smooth_integrands():
     assert abs(got - math.pi / 4) <= EPSABS
 
 
-def test_quad_limit_stops_at_one_panel():
+def test_quad_limit_stops_at_one_panel(monkeypatch):
+    monkeypatch.setattr(gamma_complex, "LIMIT", 1)
     calls = []
 
     def fn(x):
         calls.append(x)
         return math.sqrt(x)
-    got, err = quad(fn, 0.0, 1.0, limit=1)
+    got, err = quad(fn, 0.0, 1.0)
     assert len(calls) == 21
     assert err > EPSABS and abs(got - 2.0 / 3.0) <= err

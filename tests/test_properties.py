@@ -18,11 +18,11 @@ also on decaying factors where it stops early; one_minus_x_pow and
 _gexp_weights are held to the loop and the Fraction formula they replaced.
 The residue operators that replaced PadicNumber chains are also held to
 those chains, claims included, and the D-finite recurrence for phi_r to the
-gexp kernel, record and tail included.  The graded L-value record is held
-to l_values mod p^(claim - v_p(k!)), and the l_value, Phi and Psi sums over
-it to those over l_values.  Psi at every kind of s also meets an oracle
-that never reads phi_r: the Mahler series of the forward differences of
-<r>^m psi_tilde(m).
+gexp kernel, record and tail included.  The l_values record is held, mod
+p^(claim - v_p(k!)), to the x = -1 case of the values along x - k, and the
+l_value, Phi and Psi sums over it to the sums over those values.  Psi at
+every kind of s also meets an oracle that never reads phi_r: the Mahler
+series of the forward differences of <r>^m psi_tilde(m).
 """
 
 import math
@@ -43,8 +43,8 @@ from incgamma.measure import dirac, integrate, mu_psi_x
 from incgamma.padic import (DivergentSeriesError, PadicContext, PadicNumber, congruent,
                             p_exp, principal_part, principal_power, teichmuller, zp_residue)
 from incgamma.series import TruncSeries
-from incgamma.transform import (AmiceElem, _graded_l_values, factorial_length_for, l_value,
-                                l_values, l_x, one_minus_x_pow, two_var)
+from incgamma.transform import (AmiceElem, LValues, factorial_length_for, l_value, l_values,
+                                l_x, one_minus_x_pow, two_var)
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 LIFTS = 3
@@ -954,16 +954,24 @@ def lvalue_cases(draw):
     return ctx, phi_fr(r, ctx, length=draw(st.one_of(st.just(default), st.integers(1, default))))
 
 
+def full_l_values(phi, K):
+    """phi(-1 - k), k = 0..K, each mod p^claim as eval claims it: the x = -1
+    case of _line, in an LValues record."""
+    shift, residues, claims = _line(phi, -1, K)
+    return LValues(phi.ctx, tuple(residues), claims[0], shift, phi.min_valuation())
+
+
 @settings(SETTINGS, max_examples=120)
 @given(st.data())
 def test_graded_l_values_are_l_values_mod_the_graded_power(data):
-    """Value k of the graded record is that of l_values mod
+    """Value k of l_values is that of _line at x = -1 mod
     p^(claim - shift - v_p(k!)), with the same claim, shift and norm, and
-    l_value sums over it equal those over the full record in value and claim."""
+    l_value sums over it equal those over the values mod p^claim in value and
+    claim."""
     ctx, phi = data.draw(lvalue_cases())
     p = ctx.p
     K = factorial_length_for(p, ctx.precision) + data.draw(st.integers(0, 3))
-    full, graded = l_values(phi, K), _graded_l_values(phi, K)
+    full, graded = full_l_values(phi, K), l_values(phi, K)
     assert (graded.ctx, graded.claim, graded.shift, graded.norm) == \
         (full.ctx, full.claim, full.shift, full.norm)
     assert len(graded.residues) == K + 1
@@ -978,15 +986,15 @@ def test_graded_l_values_are_l_values_mod_the_graded_power(data):
 @settings(SETTINGS, max_examples=60)
 @given(st.data())
 def test_phi_and_psi_read_the_graded_record_as_the_full_one(data):
-    """Phi and Psi, which read the graded record, equal the same sums over
-    l_values of phi_r's default expansion, in value and claim."""
+    """Phi and Psi, which read l_values, equal the same sums over the values
+    mod p^claim of phi_r's default expansion, in value and claim."""
     ctx = PadicContext(data.draw(st.sampled_from((2, 3, 5, 7, 11, 13))),
                        data.draw(st.integers(1, 12)))
     p = ctx.p
     r = Fraction(data.draw(st.integers(-9999, 9999).filter(lambda a: a % p)),
                  data.draw(st.integers(1, 999).filter(lambda d: d % p)))
     target = data.draw(st.integers(1, ctx.precision))
-    full = l_values(phi_fr(r, ctx), factorial_length_for(p, target))
+    full = full_l_values(phi_fr(r, ctx), factorial_length_for(p, target))
     twist = principal_part(ctx.number(r))
     for s, _ in data.draw(st.lists(points(ctx), min_size=2, max_size=2)):
         want = l_value(None, s, target=target, values=full)

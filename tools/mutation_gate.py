@@ -57,6 +57,24 @@ MUTANTS = (
     ("dirac reports a finite tail at x = length", "measure.py",
      "exact = q == 0 and not padic", "exact = q == 0 and n < length and not padic",
      ["tests/test_measure.py"]),
+    ("the phi_r weights run one index ahead", "gamma_padic.py",
+     "w = w * (k - c) % mod", "w = w * (k + 1 - c) % mod",
+     ["tests/test_gamma_padic.py"]),
+    ("the gexp kernel's d_n carries one power of p too many", "mahler.py",
+     "(S * pw[v - E] if v >= E", "(S * pw[v - E + 1] if v >= E",
+     ["tests/test_mahler.py"]),
+    ("the gexp kernel's b_n carries one power of p too many", "mahler.py",
+     "bn = dn * pw[E - vn] if", "bn = dn * pw[E - vn + 1] if",
+     ["tests/test_mahler.py"]),
+    ("_spike splits off only spikes steeper than 4000", "gamma_complex.py",
+     "if slope > 40 else", "if slope > 4000 else",
+     ["tests/test_gamma_complex.py"]),
+    ("mellin_fe_residual scales by at least 1e6", "gamma_complex.py",
+     "max(1.0, abs(lhs), abs(rhs))", "max(1e6, abs(lhs), abs(rhs))",
+     ["tests/test_gamma_complex.py"]),
+    ("the CLI's p-adic verdict checks one digit less", "cli.py",
+     "congruent(got, want, k)", "congruent(got, want, k - 1)",
+     ["tests/test_cli.py"]),
 )
 
 
