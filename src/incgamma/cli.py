@@ -17,8 +17,9 @@ tolerances of gamma_complex.  A p-adic request whose default expansion,
 gexp_length_for(p, prec) Mahler coefficients, would pass MAX_LENGTH is a
 domain error, refused before any expansion is built; so is an --m-max above
 MAX_M or a func-eq --samples above MAX_SAMPLES, before any row is built,
-and an exact psi-tilde value longer than the interpreter's int to str
-limit, which the package never changes.
+a rational flag with a decimal exponent above MAX_EXPONENT, before it is
+parsed, and an exact psi-tilde value longer than the interpreter's int to
+str limit, which the package never changes.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import csv
 import json
 import math
 import random
+import re
 import sys
 from functools import cache
 
@@ -58,6 +60,14 @@ MAX_M = 1000
 # 11-14 s (same VM).
 MAX_SAMPLES = 100
 
+# The largest decimal exponent a rational flag may carry, as in 1e-400.
+# Fraction spells 1e999999999 out as the int 10**999999999 and hangs, so
+# the text is refused before it is parsed.  The bound lies far outside the
+# double range of the complex side, and the exact rows of such an r pass
+# the interpreter's int to str limit within a few m.
+MAX_EXPONENT = 1000
+_EXPONENT = re.compile(r"(?<=[\d.])e[-+]?([\d_]+)", re.IGNORECASE)
+
 
 def _count(lowest: int):
     """argparse type for an integer count of at least lowest."""
@@ -84,16 +94,30 @@ def _tolerance(text: str) -> float:
     return tol
 
 
-def _rational(flag: str, text: str, parse=as_rational):
-    """parse(text), the value given as flag, or ValueError naming the flag,
-    its text and the cause."""
+def _rational(flag: str, text: str, parse=None):
+    """parse(text) (as_rational by default), the value given as flag, or
+    ValueError naming the flag, its text and the cause.  A decimal exponent
+    above MAX_EXPONENT is refused before the parse."""
+    for exponent in _EXPONENT.findall(text):
+        digits = exponent.replace("_", "").lstrip("0")
+        if len(digits) > len(str(MAX_EXPONENT)) or int(digits or 0) > MAX_EXPONENT:
+            raise ValueError(f"{flag} {text!r}: decimal exponent above {MAX_EXPONENT}")
     try:
-        return parse(text)
+        return (parse or as_rational)(text)
     except ZeroDivisionError:
         cause = "zero denominator"
     except ValueError:
         cause = "not a rational"
     raise ValueError(f"{flag} {text!r}: {cause}")
+
+
+def _double(flag: str, text: str, r) -> float:
+    """The nonzero rational r, given as flag, as a float for the complex
+    side, or ValueError when it underflows to 0.0."""
+    x = float(r)
+    if x == 0 and r:
+        raise ValueError(f"{flag} {text!r}: underflows to 0.0 in double precision")
+    return x
 
 
 def _context(p: int, prec: int) -> PadicContext:
@@ -176,10 +200,10 @@ def _cmd_eval(args):
     claim = f"quad epsabs {EPSABS:g}, tail {TAIL_TOL:g}"
     if s.denominator == 1 and s >= 0:
         m = int(s)
-        val = psi_complex(float(r), m)
+        val = psi_complex(_double("--r", args.r, r), m)
         good = _rel_err(val, float(r ** m * psi_tilde(r, m))) <= args.tol
     elif r > 0:  # no exact value: hold gfn to its recurrence, which shares quad
-        x, y = float(s), float(r)
+        x, y = float(s), _double("--r", args.r, r)
         val = gfn(x, y)
         err = _rel_err(val, x * gfn(x - 1, y) + y ** x)
         good = err <= args.tol
@@ -206,8 +230,9 @@ def _cmd_interp_check(args):
                  for m in range(m_max + 1)]
     if getattr(args, "complex"):
         params["tol"] = args.tol
+        x = _double("--r", args.r, r)
         for m in range(m_max + 1):
-            got = psi_complex(float(r), m)
+            got = psi_complex(x, m)
             want = float(r ** m * tildes[m])
             err = _rel_err(got, want)
             rows.append(_row({"m": m}, "complex", repr(got), f"rel_err {err:.3e}",

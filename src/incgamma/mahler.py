@@ -29,6 +29,7 @@ from functools import lru_cache
 from fractions import Fraction
 from itertools import accumulate, compress, repeat, zip_longest
 from operator import add, mul, sub
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .exact import INF, _vp, as_rational, digit_count
@@ -172,21 +173,51 @@ class _Residues(NamedTuple):
     vals: tuple
 
 
+@lru_cache(maxsize=32)
+def _powers(p: int, top: int) -> tuple:
+    """(pw, log) for k = 0..top: pw[k] = p^k and log the read-only table
+    p^k -> k.  _record asks for the least power of two above its e, so one
+    entry serves every nearby precision."""
+    pw = tuple(accumulate(repeat(p, top), mul, initial=1))
+    return pw, MappingProxyType({q: k for k, q in enumerate(pw)})
+
+
 def _record(p: int, shift: int, res, claims) -> _Residues:
     """Record of a_n = p^shift res[n] + O(p^claims[n]): each res[n] reduced,
-    the valuations read off the ints, shift moved to min(0, lowest one)."""
-    mods = {A: p ** (A - shift) if shift < A < INF else 1 for A in set(claims)}
-    ms = list(map(mods.__getitem__, claims))
-    res = list(map(int.__mod__, res, ms))
-    # a nonzero r mod p^k has gcd(r, p^k) = p^vp(r), and p^k divides top = p^e
-    e = max((A - shift for A in mods if shift < A < INF), default=0)
-    top, log = p ** e, {p ** k: k for k in range(e + 1)}
-    vals = [shift + log[g] if r else A for r, A, g in zip(res, claims, map(math.gcd, res, ms))]
-    low = min(0, shift + log[math.gcd(math.gcd(*res), top)]) if any(res) else 0
+    the valuations read off the ints, shift moved to min(0, lowest one).
+
+    A claim A reduces its residues mod p^(A - shift), or mod 1 when A <= shift
+    or A = INF; uniform claims take one plain pass.  A zero residue keeps its
+    claim as its valuation.  A nonzero r lies below p^e, e the largest
+    exponent, so v = v_p(r) < e.  The pass first tests the previous nonzero
+    residue's v, which is exact: p^v divides r and p^(v+1) does not.  Only
+    when that test fails does it read v from gcd(r, p^e) = p^v.  The lowest
+    v of the same pass decides the shift move.
+    """
+    claims = tuple(claims)
+    ks = {A: A - shift if shift < A < INF else 0 for A in set(claims)}
+    e = max(ks.values(), default=0)
+    pw, log = _powers(p, 1 << e.bit_length())
+    if len(ks) == 1:
+        mod = pw[e]
+        res = [r % mod for r in res]
+    else:
+        res = [r % pw[ks[A]] for r, A in zip(res, claims)]
+    top, vals, v, low = pw[e], [], 0, e
+    for r, A in zip(res, claims):
+        if not r:
+            vals.append(A)
+            continue
+        if r % pw[v] or not r % pw[v + 1]:
+            v = log[math.gcd(r, top)]
+        if v < low:
+            low = v
+        vals.append(shift + v)
+    low = min(0, shift + low) if low < e else 0
     if low != shift:
         d = p ** abs(low - shift)
         res = [r * d for r in res] if low < shift else [r // d for r in res]
-    return _Residues(low, min(claims, default=INF), tuple(res), tuple(claims), tuple(vals))
+    return _Residues(low, min(claims, default=INF), tuple(res), claims, tuple(vals))
 
 
 class MahlerFn:

@@ -47,9 +47,12 @@ def dirac(x, ctx: PadicContext, length: int) -> MahlerFn:
     mod = p ** M
     nu, _, iu = _factorial_units(p, 1 << length.bit_length(), M)  # as convolve keys it
     res, t, w, dn, di = [0] * (length + 1), 1, 0, 1, pow(d, -1, mod)
+    v, pv = 0, 1  # p^v, formed again only when v moves (never at x = -1)
     for n in range(length + 1):
-        v = w - nu[n]
-        res[n] = t * dn * iu[n] % mod * p ** v
+        if w - nu[n] != v:
+            v = w - nu[n]
+            pv = p ** v
+        res[n] = t * dn * iu[n] % mod * pv
         if not padic:
             claims[n] = M + v
         q = a - n * d

@@ -238,6 +238,44 @@ def test_unparsable_rational_flag_names_the_flag(capsys, argv, flag, text, cause
     assert err == f"error: {flag} {text!r}: {cause}\n"
 
 
+@pytest.mark.parametrize("argv, flag, text", [
+    (("psi-tilde", "--r", "1e999999999"), "--r", "1e999999999"),
+    (("psi-tilde", "--r", "1e-999999999"), "--r", "1e-999999999"),
+    (("interp-check", "--r", "3E+1_001", "--p", "5"), "--r", "3E+1_001"),
+    (("eval", "--side", "padic", "--r", "1.5e00001001", "--s", "2", "--p", "3"),
+     "--r", "1.5e00001001"),
+    (("func-eq", "--poly", "1,2e-99999", "--p", "5"), "--poly", "1,2e-99999"),
+])
+def test_huge_decimal_exponent_is_refused_before_the_parse(capsys, monkeypatch, argv,
+                                                           flag, text):
+    # Fraction would build 10**exponent and hang; a missed refusal reaches
+    # the parse, which raises here instead
+    def parse(text):
+        raise AssertionError(f"parsed {text!r}")
+    monkeypatch.setattr("incgamma.exact.as_rational", parse)
+    monkeypatch.setattr(cli, "as_rational", parse)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {flag} {text!r}: decimal exponent above {cli.MAX_EXPONENT}\n"
+
+
+def test_decimal_exponent_at_the_bound_parses(capsys):
+    code, doc = run_json(capsys, "psi-tilde", "--r", f"1e-{cli.MAX_EXPONENT}", "--m-max", "0")
+    assert code == 0 and doc["params"]["r"] == "1/1" + "0" * cli.MAX_EXPONENT
+
+
+@pytest.mark.parametrize("argv, text", [
+    (("eval", "--side", "complex", "--r", "1e-400", "--s", "1"), "1e-400"),
+    (("eval", "--side", "complex", "--r", "1e-400", "--s", "1/2"), "1e-400"),
+    (("interp-check", "--r", "-1e-400", "--complex", "--m-max", "2"), "-1e-400"),
+])
+def test_complex_side_names_an_underflowing_r(capsys, argv, text):
+    # float(r) is 0.0 here, which the complex side would refuse as r = 0
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: --r {text!r}: underflows to 0.0 in double precision\n"
+
+
 @pytest.mark.parametrize("argv", [
     ("psi-tilde", "--r", "2", "--m-max", "-1"),
     ("interp-check", "--r", "2", "--p", "3", "--m-max", "-1"),

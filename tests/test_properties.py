@@ -22,7 +22,9 @@ gexp kernel, record and tail included.  The l_values record is held, mod
 p^(claim - v_p(k!)), to the x = -1 case of the values along x - k, and the
 l_value, Phi and Psi sums over it to the sums over those values.  Psi at
 every kind of s also meets an oracle that never reads phi_r: the Mahler
-series of the forward differences of <r>^m psi_tilde(m).
+series of the forward differences of <r>^m psi_tilde(m).  Every residue
+record, _record, is held to a plain reference: one reduction per claim and
+v_p by repeated division.
 """
 
 import math
@@ -31,7 +33,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from incgamma.exact import INF, binom, falling, vp, vp_factorial
 from incgamma.gamma_padic import (Phi, Psi, _phi_dfinite, _phi_expansion, f_r_series,
@@ -1036,3 +1038,65 @@ def test_psi_matches_the_mahler_oracle_of_its_integer_values(data):
             for n, bn in enumerate(b):
                 total, c = total + bn * c, c * (S - n) // (n + 1)
             assert agrees(got, Fraction(total), ctx), (r, s, S)
+
+
+def plain_record(p, shift, res, claims):
+    """_record by its definition: one reduction per claim, mod p^(A - shift)
+    or mod 1 when A <= shift or A = INF; v_p by repeated division; the shift
+    moved to min(0, lowest valuation of a nonzero residue)."""
+    out, vals = [], []
+    for r, A in zip(res, claims):
+        r %= p ** (A - shift) if shift < A < INF else 1
+        v = 0
+        while r and r % p ** (v + 1) == 0:
+            v += 1
+        out.append(r)
+        vals.append(shift + v if r else A)
+    low = min([0] + [v for r, v in zip(out, vals) if r])
+    if low <= shift:
+        out = [r * p ** (shift - low) for r in out]
+    else:
+        assert all(r % p ** (low - shift) == 0 for r in out)
+        out = [r // p ** (low - shift) for r in out]
+    return low, min(claims, default=INF), tuple(out), tuple(claims), tuple(vals)
+
+
+@st.composite
+def record_inputs(draw):
+    """(p, shift, residues, claims): claims uniform or mixed, INF or at or
+    below the shift among them; residues zero, negative or unreduced, with
+    valuations that repeat, rise, fall or jump from one to the next."""
+    p = draw(st.sampled_from((2, 3, 5, 7, 13)))
+    shift = draw(st.integers(-3, 2))  # above 0 as scale gives, so the shift moves down too
+    claim = st.one_of(st.just(INF), st.integers(shift - 2, shift),
+                      st.integers(shift + 1, shift + 14))
+    n = draw(st.integers(0, 60))
+    if draw(st.booleans()):
+        claims = [draw(claim)] * n
+    else:
+        claims = draw(st.lists(claim, min_size=n, max_size=n))
+    steps = draw(st.lists(st.tuples(
+        st.sampled_from(("zero", "same", "same", "up", "down", "jump")),
+        st.integers(0, 16), st.integers(1, p ** 3), st.integers(-3, 3), st.booleans()),
+        min_size=n, max_size=n))
+    res, v = [], 0
+    for A, (step, jump, unit, k, negative) in zip(claims, steps):
+        if step == "zero":
+            res.append(0)
+            continue
+        v = {"same": v, "up": v + 1, "down": max(0, v - 1), "jump": jump}[step]
+        r = (unit if unit % p else unit + 1) * p ** v  # a unit times p^v
+        if shift < A < INF:  # unreduced unless k = 0
+            r += k * p ** (A - shift)
+        res.append(-r if negative else r)
+    return p, shift, res, claims
+
+
+@SETTINGS
+@given(record_inputs())
+@example((3, 0, [1, 3, 9, 9, 3, 0, 1], [5] * 7))  # rise, repeat, fall, past a zero
+def test_record_matches_the_plain_reference(args):
+    """_record reduces once per distinct claim and reads each valuation from
+    the previous one when it can, gcd otherwise; every field equals the
+    plain reference, the shift move in both directions included."""
+    assert tuple(_record(*args)) == plain_record(*args)

@@ -1,13 +1,14 @@
 """Mutation gate for the claim arithmetic: every mutant must fail its tests.
 
 Each mutant is one exact text replacement in src/incgamma that makes a claim
-optimistic or a tail wrong.  For each, the script copies src/, tests/ and
-pyproject.toml into a temporary directory, applies the replacement (which
-must match exactly once) and runs `pytest -x -q` on the mutant's test files
-there, so subprocesses that the tests start see the mutant too.  The gate
-fails when the unmutated copy fails those tests, when a mutant's tests end
-in anything but a test failure (a collection error kills nothing), or when
-a mutant survives.  Standard library only; run it from anywhere:
+optimistic, or a valuation or a tail wrong.  For each, the script copies
+src/, tests/ and pyproject.toml into a temporary directory, applies the
+replacement (which must match exactly once) and runs `pytest -x -q` on the
+mutant's test files (or one test, by its pytest id) there, so subprocesses
+that the tests start see the mutant too.  The gate fails when the
+unmutated copy fails those tests, when a mutant's tests end in anything
+but a test failure (a collection error kills nothing), or when a mutant
+survives.  Standard library only; run it from anywhere:
 
     python3 tools/mutation_gate.py
 
@@ -27,7 +28,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# (what the mutant breaks, module, text, replacement, test files)
+# (what the mutant breaks, module, text, replacement, test files or ids)
 MUTANTS = (
     ("convolve claims M + max(sa, sb)", "mahler.py",
      "claim = M + min(sa, sb)", "claim = M + max(sa, sb)",
@@ -75,6 +76,22 @@ MUTANTS = (
     ("the CLI's p-adic verdict checks one digit less", "cli.py",
      "congruent(got, want, k)", "congruent(got, want, k - 1)",
      ["tests/test_cli.py"]),
+    ("the CLI claims one p-adic digit more", "cli.py",
+     'f"mod {ctx.p}^{k}"', 'f"mod {ctx.p}^{k + 1}"',
+     ["tests/test_cli.py"]),
+    ("_record keeps a guessed valuation without its upper check", "mahler.py",
+     "if r % pw[v] or not r % pw[v + 1]:", "if r % pw[v]:",
+     ["tests/test_properties.py::test_record_matches_the_plain_reference"]),
+    ("l_value claims one digit past v_p((K+1)!) + e", "transform.py",
+     "vp_factorial(K + 1, p) + values.norm)", "vp_factorial(K + 1, p) + values.norm + 1)",
+     ["tests/test_transform.py"]),
+    ("principal_power claims n + e + 1", "padic.py",
+     "ctx.p ** (n + e)), n + e)", "ctx.p ** (n + e)), n + e + 1)",
+     ["tests/test_padic.py"]),
+    ("one_minus_x_pow's tail is one digit optimistic", "transform.py",
+     'Tail(vp_factorial(length + 1, p), "factorial decay")',
+     'Tail(vp_factorial(length + 1, p) + 1, "factorial decay")',
+     ["tests/test_transform.py"]),
 )
 
 
